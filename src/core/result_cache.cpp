@@ -27,7 +27,7 @@ struct CacheMetrics {
                          "result-cache entries evicted to fit the byte "
                          "capacity"),
         registry.gauge(obs::names::kCacheBytes,
-                       "bytes of cached analysis artifacts"),
+                       "bytes of cached trace identities"),
         registry.gauge(obs::names::kCacheEntries,
                        "entries in the analysis result cache"),
     };

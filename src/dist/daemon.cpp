@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -197,7 +198,8 @@ void Daemon::sweep_watch_dirs() {
   ++stats_.scans;
 }
 
-SubmitReply Daemon::process_file(const std::string& path) {
+SubmitReply Daemon::process_file(const std::string& path,
+                                 bool* became_source) {
   DaemonMetrics::get().submissions.add();
   {
     const std::scoped_lock lock(board_mutex_);
@@ -238,43 +240,53 @@ SubmitReply Daemon::process_file(const std::string& path) {
     reply.cached = true;
     reply.trace_id = cached->trace_id;
     reply.app_key = cached->app_key;
-    const std::scoped_lock lock(board_mutex_);
-    ++stats_.cache_hits;
-    for (BoardEntry& entry : board_) {
-      if (entry.cache_key == key) {
-        ++entry.cache_hits;
-        reply.categories = category_names(entry.result.categories);
-        break;
+    std::optional<std::size_t> index;  // the board only ever grows
+    std::string source;
+    {
+      const std::scoped_lock lock(board_mutex_);
+      ++stats_.cache_hits;
+      for (std::size_t i = 0; i < board_.size(); ++i) {
+        BoardEntry& entry = board_[i];
+        if (entry.cache_key == key) {
+          ++entry.cache_hits;
+          reply.categories = category_names(entry.result.categories);
+          index = i;
+          source = entry.source_path;
+          break;
+        }
       }
+    }
+    // /explain re-derives from the entry's source. When that file has been
+    // deleted or rewritten since, this verified copy of the trace takes its
+    // place, so resubmitting is how an operator revives /explain.
+    if (index.has_value() && !load_source(source, key).has_value()) {
+      const std::scoped_lock lock(board_mutex_);
+      board_[*index].source_path = path;
+      if (became_source != nullptr) *became_source = true;
     }
     return reply;
   }
 
   // Cache miss (counted by the cache): run the pipeline with evidence
-  // capture forced on, exactly as `mosaic explain` does live, so the cached
-  // artifact serves byte-identical output.
+  // capture forced on, so with the journal on every analyzed submission
+  // records its decision path, not a sampled subset.
   obs::TraceProvenance evidence;
   core::TraceResult result = analyzer_.analyze(*parsed, &evidence);
   DaemonMetrics::get().analyzed.add();
   auto& journal = obs::ProvenanceJournal::global();
   if (journal.enabled()) journal.record(evidence);
 
-  core::CachedAnalysis artifact;
-  artifact.trace_id = std::to_string(result.job_id);
-  artifact.app_key = app_key;
-  artifact.source_path = path;
-  artifact.result_json =
-      json::serialize(report::trace_result_to_json(result));
-  artifact.explain_json =
-      json::serialize(obs::provenance_to_json(evidence), /*pretty=*/true) +
-      "\n";
-  cache_.insert(key, artifact);
+  core::CachedAnalysis identity;
+  identity.trace_id = std::to_string(result.job_id);
+  identity.app_key = app_key;
+  cache_.insert(key, identity);
 
   reply.ok = true;
   reply.cached = false;
-  reply.trace_id = artifact.trace_id;
+  reply.trace_id = identity.trace_id;
   reply.app_key = app_key;
   reply.categories = category_names(result.categories);
+  if (became_source != nullptr) *became_source = true;
 
   const std::scoped_lock lock(board_mutex_);
   ++stats_.analyzed;
@@ -289,7 +301,7 @@ SubmitReply Daemon::process_file(const std::string& path) {
   }
   if (!replaced) {
     BoardEntry entry;
-    entry.trace_id = artifact.trace_id;
+    entry.trace_id = identity.trace_id;
     entry.app_key = app_key;
     entry.source_path = path;
     entry.cache_key = key;
@@ -336,8 +348,11 @@ void Daemon::handle_submission_session(Connection conn) {
       reply.error = request.error().to_string();
     } else {
       // Spool the bytes next to nothing the watcher sees, then push them
-      // through the same on-disk funnel as watched files (the extension of
-      // the client-side name picks the parser).
+      // through the same on-disk funnel as watched files. The sequence
+      // prefix gives every submission its own file, so a later submission
+      // under the same name never rewrites the source /explain re-derives
+      // from; the client-side name keeps its extension, which picks the
+      // parser.
       const std::string name =
           std::filesystem::path(request->name).filename().string();
       if (name.empty()) {
@@ -345,13 +360,20 @@ void Daemon::handle_submission_session(Connection conn) {
       } else {
         std::error_code ec;
         std::filesystem::create_directories(options_.spool_dir, ec);
-        const std::string spooled = options_.spool_dir + "/" + name;
+        const std::string spooled =
+            options_.spool_dir + "/" +
+            std::to_string(spool_sequence_.fetch_add(1) + 1) + "-" + name;
         if (const auto written =
                 util::write_file_atomic(spooled, request->data);
             !written.ok()) {
           reply.error = written.error().to_string();
         } else {
-          reply = process_file(spooled);
+          // A spool copy that did not become a trace's /explain source (a
+          // rejection, or a cache hit whose source is intact) is never read
+          // again.
+          bool became_source = false;
+          reply = process_file(spooled, &became_source);
+          if (!became_source) std::filesystem::remove(spooled, ec);
         }
       }
     }
@@ -441,24 +463,52 @@ std::string Daemon::report_markdown() const {
   return std::move(out).str();
 }
 
-std::optional<std::string> Daemon::explain_body(
-    const std::string& trace_id) const {
+Expected<std::string> Daemon::explain_body(const std::string& trace_id) const {
+  const auto not_found = [&trace_id](const std::string& why) {
+    return Error{ErrorCode::kNotFound, "no cached analysis for '" + trace_id +
+                                           "' (" + why +
+                                           " — resubmit the trace)"};
+  };
   std::string cache_key;
+  std::string source_path;
   {
     const std::scoped_lock lock(board_mutex_);
     for (const BoardEntry& entry : board_) {
       if (entry.trace_id == trace_id || entry.app_key == trace_id) {
         cache_key = entry.cache_key;
+        source_path = entry.source_path;
         break;
       }
     }
   }
-  if (cache_key.empty()) return std::nullopt;
+  if (cache_key.empty()) return not_found("unknown trace id");
   // Metrics-silent read: an HTTP scrape must not masquerade as submission
   // traffic in the hit/miss counters.
-  auto cached = cache_.peek(cache_key);
-  if (!cached.has_value()) return std::nullopt;
-  return std::move(cached->explain_json);
+  if (!cache_.peek(cache_key).has_value()) {
+    return not_found("its cache entry was evicted");
+  }
+  // Re-derive the decision path from the source, exactly as `mosaic explain
+  // --json` does live. The source must still hold the trace that was
+  // analyzed (same dedup identity), or nothing is served.
+  const auto parsed = load_source(source_path, cache_key);
+  if (!parsed.has_value()) {
+    return not_found("its source " + source_path +
+                     " is gone or changed since it was analyzed");
+  }
+  obs::TraceProvenance evidence;
+  (void)analyzer_.analyze(*parsed, &evidence);
+  return obs::explain_json(evidence);
+}
+
+std::optional<trace::Trace> Daemon::load_source(const std::string& path,
+                                                const std::string& key) const {
+  auto parsed = ingest::load_trace(path, options_.ingest);
+  if (!parsed.has_value() || !trace::validate(*parsed).valid() ||
+      core::result_cache_key(parsed->app_key(), parsed->meta.job_id,
+                             parsed->total_bytes()) != key) {
+    return std::nullopt;
+  }
+  return std::move(*parsed);
 }
 
 void Daemon::register_routes() {
@@ -473,12 +523,8 @@ void Daemon::register_routes() {
         request.target.substr(std::string_view("/explain/").size());
     auto body = explain_body(trace_id);
     if (!body.has_value()) {
-      return obs::HttpResponse{
-          404, "text/plain",
-          "no cached analysis for '" + trace_id +
-              "' (unknown trace id, or its artifact was evicted — "
-              "resubmit the trace)\n",
-          {}};
+      return obs::HttpResponse{404, "text/plain", body.error().message + "\n",
+                               {}};
     }
     return obs::HttpResponse{200, "application/json", std::move(*body), {}};
   });

@@ -6,12 +6,13 @@
 // scanner over one or more watch directories (reusing the ingest
 // scan/classify front end) or kSubmit frames on an MDP1 socket — and every
 // submission flows through one path: load, validate, dedup-digest key,
-// result-cache lookup, and only on a miss the analyzer (with provenance
-// capture forced on, so the cached explain artifact is byte-identical to
-// `mosaic explain --json`). Results are served as JSON over the shared
-// embedded HTTP endpoint (obs/http.hpp): /results, /explain/<trace-id>,
-// /report, plus the standard /metrics, /metrics.json, /healthz and
-// /profile — all documented in docs/API.md.
+// result-cache lookup, and only on a miss the analyzer. /explain/<trace-id>
+// re-runs the analyzer with provenance capture forced on over the trace's
+// source file, so its body is byte-identical to `mosaic explain --json`
+// without any per-trace artifact staying resident. Results are served as
+// JSON over the shared embedded HTTP endpoint (obs/http.hpp): /results,
+// /explain/<trace-id>, /report, plus the standard /metrics, /metrics.json,
+// /healthz and /profile — all documented in docs/API.md.
 //
 // Draining: run() returns when the stop flag is raised (the CLI wires
 // SIGINT/SIGTERM to it); in-flight submissions finish, the HTTP endpoint
@@ -36,6 +37,7 @@
 #include "ingest/ingest.hpp"
 #include "obs/health.hpp"
 #include "obs/http.hpp"
+#include "trace/trace.hpp"
 #include "util/error.hpp"
 
 namespace mosaic::dist {
@@ -58,9 +60,10 @@ struct DaemonOptions {
   /// Result-cache byte capacity (core::ResultCache).
   std::size_t cache_capacity_bytes = 64ull * 1024 * 1024;
 
-  /// Spool directory for socket submissions (the trace bytes are written
-  /// here, then ingested through the same on-disk path as watched files).
-  /// Empty picks a per-process directory under the system temp dir.
+  /// Spool directory for socket submissions (each submission's bytes are
+  /// written to their own `<n>-<name>` file here, then ingested through the
+  /// same on-disk path as watched files). Empty picks a per-process
+  /// directory under the system temp dir.
   std::string spool_dir;
 
   core::Thresholds thresholds;
@@ -126,7 +129,7 @@ class Daemon {
   struct BoardEntry {
     std::string trace_id;
     std::string app_key;
-    std::string source_path;
+    std::string source_path;  ///< file /explain re-derives from
     std::string cache_key;
     std::uint64_t cache_hits = 0;
     core::TraceResult result;
@@ -135,15 +138,25 @@ class Daemon {
   void register_routes();
   void serve_submissions();
   void handle_submission_session(Connection conn);
-  [[nodiscard]] SubmitReply process_file(const std::string& path);
+  /// The funnel every submission runs through. `*became_source` (when
+  /// given) is set when `path` is now its trace's /explain source: the
+  /// trace was analyzed, or it was a cache hit whose old source no longer
+  /// holds the trace (deleted or rewritten).
+  [[nodiscard]] SubmitReply process_file(const std::string& path,
+                                         bool* became_source = nullptr);
   [[nodiscard]] bool stopped() const noexcept;
 
   [[nodiscard]] std::string results_json() const;
   [[nodiscard]] std::string report_markdown() const;
-  /// /explain/<trace-id> body lookup: nullopt when the id is unknown or the
-  /// cached artifact was evicted.
-  [[nodiscard]] std::optional<std::string> explain_body(
+  /// /explain/<trace-id> body, re-derived from the entry's source file.
+  /// kNotFound, with the cause and a resubmit hint, when the id is unknown,
+  /// its cache entry was evicted, or the source is gone or changed.
+  [[nodiscard]] util::Expected<std::string> explain_body(
       const std::string& trace_id) const;
+  /// The trace at `path` when it loads, validates and still has the dedup
+  /// identity `key`; nullopt otherwise.
+  [[nodiscard]] std::optional<trace::Trace> load_source(
+      const std::string& path, const std::string& key) const;
 
   DaemonOptions options_;
   core::Analyzer analyzer_;
@@ -167,6 +180,9 @@ class Daemon {
   };
   std::map<std::string, WatchState> seen_paths_;
   DaemonStats stats_;
+
+  /// Numbers socket submissions, so each gets its own spool file.
+  std::atomic<std::uint64_t> spool_sequence_{0};
 
   Listener submit_listener_;
   std::thread submit_thread_;

@@ -1,5 +1,6 @@
 #include "dist/protocol.hpp"
 
+#include <array>
 #include <cstring>
 
 #include "core/config.hpp"
@@ -78,19 +79,21 @@ Status write_frame(Connection& conn, FrameType type, std::string_view payload,
   header[7] = 0;
   store_u32(header + 8, static_cast<std::uint32_t>(payload.size()));
   store_u64(header + 12, payload_checksum(payload));
-  if (const auto status = conn.send_all(header, sizeof header); !status.ok()) {
-    return status;
+  const std::string_view head(reinterpret_cast<const char*>(header),
+                              sizeof header);
+  if (!corrupt_payload_byte || payload.empty()) {
+    const std::array<std::string_view, 2> frame{head, payload};
+    return conn.send_all(frame);
   }
-  if (payload.empty()) return Status::success();
-  if (!corrupt_payload_byte) {
-    return conn.send_all(payload.data(), payload.size());
-  }
-  // Fault-injection seam: checksum above covered the true payload; flipping
-  // one byte now guarantees the receiver detects the corruption.
-  std::string corrupted(payload);
-  corrupted[corrupted.size() / 2] =
-      static_cast<char>(corrupted[corrupted.size() / 2] ^ 0x20);
-  return conn.send_all(corrupted.data(), corrupted.size());
+  // Fault-injection seam: the checksum above covered the true payload;
+  // sending its middle byte flipped guarantees the receiver detects the
+  // corruption.
+  const std::size_t middle = payload.size() / 2;
+  const char flipped = static_cast<char>(payload[middle] ^ 0x20);
+  const std::array<std::string_view, 4> frame{
+      head, payload.substr(0, middle), std::string_view(&flipped, 1),
+      payload.substr(middle + 1)};
+  return conn.send_all(frame);
 }
 
 Expected<Frame> read_frame(Connection& conn, double timeout_seconds) {

@@ -62,10 +62,11 @@ struct Frame {
   std::string payload;
 };
 
-/// Sends one frame. `corrupt_payload_byte` is the fault-injection seam: the
-/// checksum is computed over the true payload and one byte is flipped
-/// afterwards, so the receiver sees a checksum mismatch (never used outside
-/// tests/fault specs).
+/// Sends one frame: header and payload leave in one gathered send, without
+/// copying the payload. `corrupt_payload_byte` is the fault-injection seam:
+/// the checksum is computed over the true payload and its middle byte is
+/// flipped on the wire, so the receiver sees a checksum mismatch (never used
+/// outside tests/fault specs).
 [[nodiscard]] util::Status write_frame(Connection& conn, FrameType type,
                                        std::string_view payload,
                                        bool corrupt_payload_byte = false);

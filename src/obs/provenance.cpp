@@ -471,6 +471,10 @@ util::Expected<TraceProvenance> provenance_from_json(const json::Value& value) {
   return record;
 }
 
+std::string explain_json(const TraceProvenance& record) {
+  return json::serialize(provenance_to_json(record), /*pretty=*/true) + "\n";
+}
+
 std::string explain_text(const TraceProvenance& record) {
   std::string out;
   append_format(out,

@@ -167,6 +167,11 @@ struct TraceProvenance {
 /// Serializes one record as a JSON object (stable key order).
 [[nodiscard]] json::Value provenance_to_json(const TraceProvenance& record);
 
+/// The record as pretty JSON plus a trailing newline: the body of both
+/// `mosaic explain --json` and the daemon's /explain/<trace-id>, so the two
+/// stay byte-identical.
+[[nodiscard]] std::string explain_json(const TraceProvenance& record);
+
 /// Inverse of provenance_to_json; missing keys default, wrong shapes error.
 [[nodiscard]] util::Expected<TraceProvenance> provenance_from_json(
     const json::Value& value);

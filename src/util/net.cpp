@@ -7,9 +7,13 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -49,6 +53,13 @@ int wait_for(int fd, short events, double timeout_seconds) {
       if (remaining_ms <= 0.0) return 0;
     }
   }
+}
+
+/// Disables Nagle on a connected stream. Best effort: a failure costs
+/// latency, never correctness.
+void set_no_delay(int fd) noexcept {
+  const int one = 1;
+  (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 /// Resolves `address` to an IPv4/IPv6 sockaddr via getaddrinfo.
@@ -146,17 +157,39 @@ void Connection::close() noexcept {
 }
 
 Status Connection::send_all(const void* data, std::size_t len) {
+  const std::array<std::string_view, 1> parts{
+      std::string_view(static_cast<const char*>(data), len)};
+  return send_all(parts);
+}
+
+Status Connection::send_all(std::span<const std::string_view> parts) {
   if (fd_ < 0) return Error{ErrorCode::kIoError, "send on closed connection"};
-  const auto* bytes = static_cast<const char*>(data);
-  std::size_t sent = 0;
-  while (sent < len) {
-    const ssize_t rc =
-        ::send(fd_, bytes + sent, len - sent, MSG_NOSIGNAL);
+  std::vector<iovec> iov;
+  iov.reserve(parts.size());
+  for (const std::string_view part : parts) {
+    if (part.empty()) continue;
+    iov.push_back(iovec{const_cast<char*>(part.data()), part.size()});
+  }
+  std::size_t first = 0;  // first iovec with bytes still to send
+  while (first < iov.size()) {
+    struct msghdr msg {};
+    msg.msg_iov = iov.data() + first;
+    msg.msg_iovlen = std::min<std::size_t>(iov.size() - first, IOV_MAX);
+    const ssize_t rc = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return errno_error("send");
     }
-    sent += static_cast<std::size_t>(rc);
+    // Skip the fully sent iovecs, then trim the partly sent one.
+    auto sent = static_cast<std::size_t>(rc);
+    while (first < iov.size() && sent >= iov[first].iov_len) {
+      sent -= iov[first].iov_len;
+      ++first;
+    }
+    if (sent > 0) {
+      iov[first].iov_base = static_cast<char*>(iov[first].iov_base) + sent;
+      iov[first].iov_len -= sent;
+    }
   }
   return Status::success();
 }
@@ -243,6 +276,7 @@ Expected<Connection> connect_to(const Address& address,
     }
   }
   (void)::fcntl(fd, F_SETFL, flags);
+  set_no_delay(fd);
   return conn;
 }
 
@@ -304,6 +338,7 @@ Expected<Connection> Listener::accept_connection(double timeout_seconds) {
   }
   const int fd = ::accept(fd_, nullptr, nullptr);
   if (fd < 0) return errno_error("accept");
+  set_no_delay(fd);
   return Connection(fd);
 }
 

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -59,6 +60,13 @@ class Connection {
   /// Sends the whole buffer (SIGPIPE suppressed; a closed peer is kIoError).
   [[nodiscard]] Status send_all(const void* data, std::size_t len);
 
+  /// Gather send: every byte of `parts`, in order, through sendmsg over one
+  /// iovec list, so a header and its payload leave in one call instead of
+  /// two (a second small write behind an unacknowledged first one is what
+  /// Nagle holds back). Partial writes continue across part boundaries;
+  /// empty parts are skipped. SIGPIPE suppressed as above.
+  [[nodiscard]] Status send_all(std::span<const std::string_view> parts);
+
   /// Receives exactly `len` bytes. Returns kTimeout when the peer sends
   /// nothing for `timeout_seconds` (<= 0 waits forever), kIoError on EOF or
   /// a socket error. A timeout mid-buffer leaves the stream unusable for
@@ -81,6 +89,9 @@ class Connection {
 
 /// Blocking connect with a bounded wait. kIoError covers refused /
 /// unreachable / unresolvable; kTimeout a peer that never answers the SYN.
+/// The stream has TCP_NODELAY set (so does every accepted one): every
+/// message here is written whole and then answered, so Nagle's batching
+/// only ever adds a delayed-ACK wait.
 [[nodiscard]] Expected<Connection> connect_to(const Address& address,
                                               double timeout_seconds);
 

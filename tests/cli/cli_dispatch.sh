@@ -15,11 +15,15 @@
 set -euo pipefail
 MOSAIC="$1"
 WORK="$(mktemp -d)"
-WORKER_PIDS=()
+# start_worker runs inside $(...), a subshell, so it records worker pids in
+# a file: an array appended there would never reach cleanup.
+WORKER_PIDS="$WORK/worker.pids"
 cleanup() {
-  for pid in "${WORKER_PIDS[@]:-}"; do
-    kill "$pid" 2> /dev/null || true
-  done
+  if [ -f "$WORKER_PIDS" ]; then
+    while read -r pid; do
+      kill "$pid" 2> /dev/null || true
+    done < "$WORKER_PIDS"
+  fi
   wait 2> /dev/null || true
   rm -rf "$WORK"
 }
@@ -31,7 +35,7 @@ start_worker() {
   local log="$1"
   shift
   "$MOSAIC" worker --listen 127.0.0.1:0 "$@" > "$log" 2>&1 &
-  WORKER_PIDS+=("$!")
+  echo "$!" >> "$WORKER_PIDS"
   local port=""
   for _ in $(seq 1 100); do
     port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")"

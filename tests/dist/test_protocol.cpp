@@ -1,7 +1,8 @@
 // Wire-level tests of the dispatch protocol (dist/protocol.hpp) over real
 // loopback sockets: framing round-trips, the error taxonomy the task
 // lifecycle classifies on (truncated frame -> kIoError, corrupt frame ->
-// kParseError with the stream still framed, silence -> kTimeout), address
+// kParseError with the stream still framed, silence -> kTimeout), the exact
+// wire bytes and multi-megabyte frames through the gathered send, address
 // validation, deterministic network fault specs, and the dispatch journal.
 #include "dist/protocol.hpp"
 
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "darshan/binary_format.hpp"
 #include "dist/faults.hpp"
 #include "dist/journal.hpp"
 #include "dist/net.hpp"
@@ -108,6 +110,84 @@ TEST(Protocol, CorruptFrameIsParseErrorAndStreamStaysFramed) {
   ASSERT_TRUE(clean.has_value()) << clean.error().to_string();
   EXPECT_EQ(clean->type, FrameType::kShutdown);
   EXPECT_EQ(clean->payload, "clean");
+}
+
+/// A deterministic payload of `size` bytes that no shifted copy matches.
+std::string patterned(std::size_t size) {
+  std::string payload(size, '\0');
+  for (std::size_t i = 0; i < size; ++i) {
+    payload[i] = static_cast<char>((i * 131 + (i >> 13)) & 0xFF);
+  }
+  return payload;
+}
+
+// A 4 MiB frame is far past the loopback socket buffer, so the reader must
+// drain while the writer is still inside its gathered send; wherever the
+// kernel splits the header + payload iovecs, the send resumes there.
+TEST(Protocol, LargeFrameRoundTrips) {
+  Loopback loop;
+  const std::string payload = patterned(4u << 20);
+  util::Status sent = util::Status::success();
+  std::thread writer([&] {
+    sent = write_frame(loop.client, FrameType::kPartial, payload);
+  });
+  auto frame = read_frame(loop.server, 10.0);
+  writer.join();
+  ASSERT_TRUE(sent.ok()) << sent.error().to_string();
+  ASSERT_TRUE(frame.has_value()) << frame.error().to_string();
+  EXPECT_EQ(frame->type, FrameType::kPartial);
+  EXPECT_TRUE(frame->payload == payload);
+}
+
+// The corrupt-byte seam through the gathered send: a large corrupt frame is
+// still consumed whole (kParseError) and the next frame reads cleanly.
+TEST(Protocol, LargeCorruptFrameStaysFramed) {
+  Loopback loop;
+  const std::string payload = patterned(4u << 20);
+  util::Status sent = util::Status::success();
+  std::thread writer([&] {
+    sent = write_frame(loop.client, FrameType::kPartial, payload,
+                       /*corrupt_payload_byte=*/true);
+    if (sent.ok()) sent = write_frame(loop.client, FrameType::kShutdown, "ok");
+  });
+  auto corrupt = read_frame(loop.server, 10.0);
+  auto clean = read_frame(loop.server, 10.0);
+  writer.join();
+  ASSERT_TRUE(sent.ok()) << sent.error().to_string();
+  ASSERT_FALSE(corrupt.has_value());
+  EXPECT_EQ(corrupt.error().code, ErrorCode::kParseError);
+  ASSERT_TRUE(clean.has_value()) << clean.error().to_string();
+  EXPECT_EQ(clean->type, FrameType::kShutdown);
+  EXPECT_EQ(clean->payload, "ok");
+}
+
+// The exact bytes on the wire: the documented 20-byte header, then the
+// payload — with only the middle byte flipped when the seam is on.
+TEST(Protocol, WireBytesFollowTheDocumentedLayout) {
+  Loopback loop;
+  const std::string payload = "abcdef";
+  ASSERT_TRUE(write_frame(loop.client, FrameType::kTask, payload).ok());
+  ASSERT_TRUE(write_frame(loop.client, FrameType::kTask, payload,
+                          /*corrupt_payload_byte=*/true)
+                  .ok());
+
+  std::string expected;
+  const auto put_le = [&expected](std::uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      expected.push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
+    }
+  };
+  put_le(kProtocolMagic, 4);
+  put_le(kProtocolVersion, 1);
+  put_le(static_cast<std::uint8_t>(FrameType::kTask), 1);
+  put_le(0, 2);
+  put_le(payload.size(), 4);
+  put_le(darshan::fnv1a(payload), 8);
+
+  std::string wire(2 * (20 + payload.size()), '\0');
+  ASSERT_TRUE(loop.server.recv_exact(wire.data(), wire.size(), 5.0).ok());
+  EXPECT_EQ(wire.substr(0, 26), expected + "abcdef");
+  EXPECT_EQ(wire.substr(26), expected + "abcDef");
 }
 
 TEST(Protocol, TaskRequestRoundTrips) {

@@ -1622,9 +1622,7 @@ int cmd_explain(int argc, char** argv) {
   }
 
   if (cli.get_flag("json")) {
-    std::printf("%s\n", json::serialize(obs::provenance_to_json(*record),
-                                        /*pretty=*/true)
-                            .c_str());
+    std::fputs(obs::explain_json(*record).c_str(), stdout);
   } else {
     std::fputs(obs::explain_text(*record).c_str(), stdout);
   }
