@@ -1,7 +1,5 @@
 #include "core/preprocess.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/log.hpp"
@@ -41,165 +39,112 @@ void count_valid_metric() {
   counter.add();
 }
 
-/// Un-counts a journal-replayed winner that could not be re-loaded: its run
-/// is no longer a valid execution. Other (non-winner) runs of the app keep
-/// their counts; aggregation only consults runs_per_app for retained apps,
-/// so a leftover key without a retained trace is inert.
-void demote_app(PreprocessResult& result, const std::string& key) {
-  if (result.stats.valid > 0) --result.stats.valid;
-  const auto it = result.runs_per_app.find(key);
-  if (it != result.runs_per_app.end() && --it->second == 0) {
-    result.runs_per_app.erase(it);
+/// Counts one validity-check outcome on `stats`; true when the trace is
+/// valid and goes on to dedup.
+bool count_validity(const trace::ValidityReport& report,
+                    PreprocessStats& stats) {
+  if (!report.valid()) {
+    ++stats.corrupted;
+    ++stats.corruption_breakdown[trace::corruption_kind_name(report.kind)];
+    ++stats.eviction_breakdown[corrupt_code_name()];
+    count_corruption_metric(trace::corruption_kind_name(report.kind));
+    count_eviction_metric(corrupt_code_name());
+    return false;
   }
+  ++stats.valid;
+  count_valid_metric();
+  return true;
 }
 
-/// Per-application dedup state: run count plus the incumbent winner. A
-/// single app-keyed map carries both, so each valid trace costs one tree
-/// lookup and duplicates compare against the cached byte total instead of
-/// rescanning the incumbent's file list.
-struct AppSlot {
-  std::size_t runs = 0;
-  std::size_t index = 0;       ///< index of the heaviest run in the input
-  std::uint64_t bytes = 0;     ///< cached traces[index].total_bytes()
-};
-
-using AppMap = std::map<std::string, AppSlot, std::less<>>;
-
-/// Step 1 of both preprocess() overloads: evict corrupted traces, keeping
-/// the index of the heaviest valid trace per application key as we go.
-/// Fills the eviction/validity stats on `result`; the caller materializes
-/// `retained` from the returned winner indices (moving or copying).
-AppMap select_heaviest_per_app(std::span<const trace::Trace> traces,
-                               double validity_slack_seconds,
-                               PreprocessResult& result) {
+/// The body of both preprocess() overloads; `take(i)` moves or copies
+/// traces[i] into the result. Retained traces keep the input order.
+template <typename Take>
+PreprocessResult preprocess_traces(std::span<const trace::Trace> traces,
+                                   double validity_slack_seconds,
+                                   const Take& take) {
+  PreprocessResult result;
   result.stats.input_traces = traces.size();
-  AppMap apps;
-  std::string key;  // scratch app key, reused across iterations
+  // The winner is a pointer into `traces` plus its cached byte total, so
+  // duplicates compare without rescanning the incumbent's file list.
+  struct InputWinner {
+    const trace::Trace* trace = nullptr;
+    std::uint64_t total_bytes = 0;
+
+    DedupRank rank() const noexcept {
+      return {total_bytes, trace->meta.job_id, {}};
+    }
+  };
+  DedupLedger<InputWinner> ledger;
+  std::string key;  // scratch app key, reused across traces
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    const trace::ValidityReport report =
-        validate(traces[i], validity_slack_seconds);
-    if (!report.valid()) {
-      ++result.stats.corrupted;
-      ++result.stats.corruption_breakdown[trace::corruption_kind_name(
-          report.kind)];
-      ++result.stats.eviction_breakdown[corrupt_code_name()];
-      count_corruption_metric(trace::corruption_kind_name(report.kind));
-      count_eviction_metric(corrupt_code_name());
+    if (!count_validity(validate(traces[i], validity_slack_seconds),
+                        result.stats)) {
       continue;
     }
-    ++result.stats.valid;
-    count_valid_metric();
     traces[i].app_key(key);
-    auto slot = apps.lower_bound(key);
-    const bool inserted = slot == apps.end() || slot->first != key;
-    if (inserted) slot = apps.emplace_hint(slot, key, AppSlot{});
-    AppSlot& app = slot->second;
-    ++app.runs;
-    const std::uint64_t bytes = traces[i].total_bytes();
-    if (inserted || bytes > app.bytes) {
-      app.index = i;
-      app.bytes = bytes;
+    const DedupRank rank{traces[i].total_bytes(), traces[i].meta.job_id, {}};
+    if (auto* slot = ledger.admit(key, rank)) {
+      slot->winner = {&traces[i], rank.total_bytes};
     }
   }
-  return apps;
-}
-
-/// Step 2 bookkeeping shared by both overloads, run after `retained` has
-/// been materialized. runs_per_app is rebuilt from the sorted app map, so
-/// its contents match the per-trace increments of the old two-map scheme.
-void finish_selection(const AppMap& apps, PreprocessResult& result) {
-  result.retained_paths.assign(result.retained.size(), std::string());
-  for (const auto& [app_key, app] : apps) {
+  std::vector<bool> keep(traces.size(), false);
+  for (const auto& [app_key, slot] : ledger) {
+    keep[static_cast<std::size_t>(slot.winner.trace - traces.data())] = true;
     result.runs_per_app.emplace_hint(result.runs_per_app.end(), app_key,
-                                     app.runs);
+                                     slot.runs);
   }
-  result.stats.unique_applications = apps.size();
+  result.retained.reserve(ledger.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    if (keep[i]) result.retained.push_back(take(i));
+  }
+  result.retained_paths.assign(result.retained.size(), std::string());
+  result.stats.unique_applications = ledger.size();
   result.stats.retained = result.retained.size();
-}
-
-/// Winner indices in input order, so retained traces keep the input's
-/// relative order regardless of app-key sort order.
-std::vector<bool> winners_in_input_order(const AppMap& apps,
-                                         std::size_t input_size) {
-  std::vector<bool> keep(input_size, false);
-  for (const auto& [app_key, app] : apps) keep[app.index] = true;
-  return keep;
+  return result;
 }
 
 }  // namespace
 
-PreprocessResult preprocess(std::vector<trace::Trace> traces,
-                            double validity_slack_seconds) {
-  PreprocessResult result;
-  const AppMap apps =
-      select_heaviest_per_app(traces, validity_slack_seconds, result);
-  const std::vector<bool> keep = winners_in_input_order(apps, traces.size());
-  result.retained.reserve(apps.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    if (keep[i]) result.retained.push_back(std::move(traces[i]));
-  }
-  finish_selection(apps, result);
-  return result;
-}
-
-PreprocessResult preprocess(std::span<const trace::Trace> traces,
-                            double validity_slack_seconds) {
-  PreprocessResult result;
-  const AppMap apps =
-      select_heaviest_per_app(traces, validity_slack_seconds, result);
-  const std::vector<bool> keep = winners_in_input_order(apps, traces.size());
-  result.retained.reserve(apps.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    if (keep[i]) result.retained.push_back(traces[i]);
-  }
-  finish_selection(apps, result);
-  return result;
-}
-
-bool StreamingPreprocessor::digest_wins(const ValidDigest& challenger,
-                                        const ValidDigest& incumbent) noexcept {
+bool outranks(const DedupRank& challenger,
+              const DedupRank& incumbent) noexcept {
   if (challenger.total_bytes != incumbent.total_bytes) {
     return challenger.total_bytes > incumbent.total_bytes;
   }
-  // Ties break on stable identity so the winner is independent of the order
-  // in which parallel workers deliver traces (and of journal replay).
+  // Ties break on stable identity so the winner is independent of input
+  // order, of the order parallel workers deliver traces, of journal replay
+  // and of how the corpus was sharded.
   if (challenger.job_id != incumbent.job_id) {
     return challenger.job_id < incumbent.job_id;
   }
   return challenger.path < incumbent.path;
 }
 
-void StreamingPreprocessor::fold_valid(ValidDigest digest,
-                                       std::optional<trace::Trace> trace) {
-  ++stats_.valid;
-  count_valid_metric();
-  ++runs_per_app_[digest.app_key];
-  const auto [slot, inserted] =
-      heaviest_.try_emplace(digest.app_key, Slot{digest, std::nullopt});
-  if (inserted || digest_wins(digest, slot->second.digest)) {
-    slot->second.digest = std::move(digest);
-    slot->second.trace = std::move(trace);
-  }
+PreprocessResult preprocess(std::vector<trace::Trace> traces,
+                            double validity_slack_seconds) {
+  return preprocess_traces(traces, validity_slack_seconds,
+                           [&](std::size_t i) -> trace::Trace&& {
+                             return std::move(traces[i]);
+                           });
+}
+
+PreprocessResult preprocess(std::span<const trace::Trace> traces,
+                            double validity_slack_seconds) {
+  return preprocess_traces(traces, validity_slack_seconds,
+                           [&](std::size_t i) -> const trace::Trace& {
+                             return traces[i];
+                           });
 }
 
 trace::ValidityReport StreamingPreprocessor::add_trace(
     trace::Trace trace, std::string source_path) {
   ++stats_.input_traces;
   const trace::ValidityReport report = validate(trace, slack_);
-  if (!report.valid()) {
-    ++stats_.corrupted;
-    ++stats_.corruption_breakdown[trace::corruption_kind_name(report.kind)];
-    ++stats_.eviction_breakdown[corrupt_code_name()];
-    count_corruption_metric(trace::corruption_kind_name(report.kind));
-    count_eviction_metric(corrupt_code_name());
-    return report;
+  if (!count_validity(report, stats_)) return report;
+  const DedupRank rank{trace.total_bytes(), trace.meta.job_id, source_path};
+  if (auto* slot = ledger_.admit(trace.app_key(), rank)) {
+    slot->winner = {rank.total_bytes, rank.job_id, std::move(source_path),
+                    std::move(trace)};
   }
-  ValidDigest digest;
-  digest.path = std::move(source_path);
-  digest.app_key = trace.app_key();
-  digest.total_bytes = trace.total_bytes();
-  digest.job_id = trace.meta.job_id;
-  fold_valid(std::move(digest), std::move(trace));
   return report;
 }
 
@@ -212,7 +157,15 @@ void StreamingPreprocessor::add_load_failure(util::ErrorCode code) {
 
 void StreamingPreprocessor::add_valid_digest(ValidDigest digest) {
   ++stats_.input_traces;
-  fold_valid(std::move(digest), std::nullopt);
+  ++stats_.valid;
+  count_valid_metric();
+  if (auto* slot = ledger_.admit(
+          digest.app_key,
+          DedupRank{digest.total_bytes, digest.job_id, digest.path})) {
+    // No trace in memory: finish() re-reads the file if it still wins.
+    slot->winner = {digest.total_bytes, digest.job_id, std::move(digest.path),
+                    std::nullopt};
+  }
 }
 
 void StreamingPreprocessor::add_journaled_eviction(
@@ -234,40 +187,50 @@ PreprocessResult StreamingPreprocessor::finish(
         reload) {
   PreprocessResult result;
   result.stats = std::move(stats_);
-  result.runs_per_app = std::move(runs_per_app_);
-  result.retained.reserve(heaviest_.size());
+  result.retained.reserve(ledger_.size());
 
-  // std::map iteration is already sorted by app key — the deterministic
-  // output order regardless of how workers raced during folding.
-  for (auto& [key, slot] : heaviest_) {
-    if (!slot.trace.has_value()) {
+  // Un-counts a journal-replayed winner that could not be re-loaded: its
+  // run is no longer a valid execution. The app's other runs keep their
+  // counts; aggregation only consults runs_per_app for retained apps, so a
+  // leftover key without a retained trace is inert.
+  const auto demote = [&result](Ledger::Slot& slot) {
+    if (result.stats.valid > 0) --result.stats.valid;
+    --slot.runs;
+  };
+  // The ledger iterates in app-key order — the deterministic output order
+  // regardless of how workers raced during folding.
+  for (auto& [key, slot] : ledger_) {
+    Winner& winner = slot.winner;
+    if (!winner.trace.has_value()) {
       // Journal-replayed winner: the trace bytes were never loaded this run.
       if (!reload) {
         MOSAIC_LOG_WARN("preprocess: no reload hook for journaled winner %s; "
                         "dropping application %s",
-                        slot.digest.path.c_str(), key.c_str());
-        demote_app(result, key);
-        continue;
-      }
-      auto loaded = reload(slot.digest.path);
-      if (!loaded.has_value()) {
+                        winner.source_path.c_str(), key.c_str());
+        demote(slot);
+      } else if (auto loaded = reload(winner.source_path); loaded.has_value()) {
+        winner.trace = std::move(*loaded);
+      } else {
         MOSAIC_LOG_WARN("preprocess: journaled winner %s no longer loads "
                         "(%s); dropping application %s",
-                        slot.digest.path.c_str(),
+                        winner.source_path.c_str(),
                         loaded.error().to_string().c_str(), key.c_str());
         ++result.stats.load_failed;
         ++result.stats.eviction_breakdown[std::string(
             util::error_code_name(loaded.error().code))];
         count_eviction_metric(util::error_code_name(loaded.error().code));
-        demote_app(result, key);
-        continue;
+        demote(slot);
       }
-      slot.trace = std::move(*loaded);
     }
-    result.retained.push_back(std::move(*slot.trace));
-    result.retained_paths.push_back(std::move(slot.digest.path));
+    if (slot.runs != 0) {
+      result.runs_per_app.emplace_hint(result.runs_per_app.end(), key,
+                                       slot.runs);
+    }
+    if (!winner.trace.has_value()) continue;
+    result.retained.push_back(std::move(*winner.trace));
+    result.retained_paths.push_back(std::move(winner.source_path));
   }
-  heaviest_.clear();
+  ledger_ = Ledger{};
 
   result.stats.unique_applications = result.retained.size();
   result.stats.retained = result.retained.size();

@@ -11,12 +11,18 @@
 // The runs-per-application map is kept so reports can re-weight single-run
 // results to the full execution set ("all runs" columns of Tables II/III).
 //
-// Two drivers exist:
-//   - preprocess(): one-shot over an in-memory vector (tests, library use);
+// The dedup rule lives in one place, DedupLedger: per application key it
+// counts the valid runs and keeps the winner chosen by outranks(), so the
+// retained run never depends on arrival order. Every driver folds through
+// it:
+//   - preprocess(): one-shot over in-memory traces (tests, library use);
+//     retained traces keep the input order;
 //   - StreamingPreprocessor: incremental folding for the fault-tolerant
 //     ingest path, which streams files through a bounded window and also
 //     counts loads that failed before validation (io-error, parse-error, …)
-//     so the funnel covers every file scanned, not just the parseable ones.
+//     so the funnel covers every file scanned; retained traces come out
+//     sorted by application key;
+//   - report::merge_partials(): the cross-shard replay over shard winners.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +32,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -63,6 +71,61 @@ struct PreprocessResult {
   PreprocessStats stats;
 };
 
+/// What the dedup rule compares for one valid run.
+struct DedupRank {
+  std::uint64_t total_bytes = 0;
+  std::uint64_t job_id = 0;
+  std::string_view path;  ///< source path; empty for traces without files
+};
+
+/// The dedup rule: true when `challenger` should replace `incumbent` as its
+/// application's retained run — heavier total bytes, then smaller job id,
+/// then smaller source path. Equal ranks keep the incumbent.
+[[nodiscard]] bool outranks(const DedupRank& challenger,
+                            const DedupRank& incumbent) noexcept;
+
+/// Per-application dedup state: the valid-run count and the current winner
+/// in one app-keyed map slot, so each valid run costs one tree lookup.
+/// Iteration is sorted by application key. `Winner` is the driver's record
+/// of the current winner and reports its rank through `rank()`, so each
+/// driver stores only what the rule and its own output need.
+template <typename Winner>
+class DedupLedger {
+ public:
+  struct Slot {
+    std::size_t runs = 0;
+    Winner winner{};
+  };
+  using Map = std::map<std::string, Slot, std::less<>>;
+
+  /// Counts one valid run of `app_key`. Returns its slot when the run
+  /// outranks the current winner (or is the application's first run); the
+  /// caller then records the run as `winner`, so that `winner.rank()` equals
+  /// `rank`. Returns nullptr when the current winner stays.
+  Slot* admit(std::string_view app_key, const DedupRank& rank) {
+    auto it = slots_.lower_bound(app_key);
+    const bool first = it == slots_.end() || it->first != app_key;
+    if (first) {
+      it = slots_.emplace_hint(it, std::piecewise_construct,
+                               std::forward_as_tuple(app_key),
+                               std::forward_as_tuple());
+    }
+    Slot& slot = it->second;
+    ++slot.runs;
+    if (!first && !outranks(rank, slot.winner.rank())) return nullptr;
+    return &slot;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+  [[nodiscard]] typename Map::iterator begin() noexcept {
+    return slots_.begin();
+  }
+  [[nodiscard]] typename Map::iterator end() noexcept { return slots_.end(); }
+
+ private:
+  Map slots_;
+};
+
 /// Runs both reductions. Consumes the input vector (traces are moved out).
 [[nodiscard]] PreprocessResult preprocess(std::vector<trace::Trace> traces,
                                           double validity_slack_seconds = 1.0);
@@ -79,12 +142,10 @@ struct PreprocessResult {
 /// Incremental validity + dedup folding with O(unique applications) state.
 ///
 /// The ingest pipeline feeds traces (and failures) one at a time; only the
-/// current heaviest trace per application key is kept in memory. Journal
-/// replay can fold a file by digest alone — if the digest wins dedup, the
-/// file is re-read lazily in finish(). Retention is made deterministic
-/// regardless of arrival order: heavier total_bytes wins, ties break on
-/// smaller job id, then smaller source path; retained traces are emitted
-/// sorted by application key.
+/// current winner per application key is kept in memory. Journal replay can
+/// fold a file by digest alone — if the digest wins dedup, the file is
+/// re-read lazily in finish(). Retained traces are emitted sorted by
+/// application key.
 class StreamingPreprocessor {
  public:
   /// Stand-in for a valid trace whose contents are not in memory: just
@@ -128,20 +189,21 @@ class StreamingPreprocessor {
           reload = {});
 
  private:
-  /// Dedup slot: the digest always describes the current winner; `trace` is
-  /// engaged unless the winner came from journal replay.
-  struct Slot {
-    ValidDigest digest;
+  struct Winner {
+    std::uint64_t total_bytes = 0;
+    std::uint64_t job_id = 0;
+    std::string source_path;
+    /// Engaged unless the winner came from journal replay.
     std::optional<trace::Trace> trace;
-  };
 
-  [[nodiscard]] static bool digest_wins(const ValidDigest& challenger,
-                                        const ValidDigest& incumbent) noexcept;
-  void fold_valid(ValidDigest digest, std::optional<trace::Trace> trace);
+    [[nodiscard]] DedupRank rank() const noexcept {
+      return {total_bytes, job_id, source_path};
+    }
+  };
+  using Ledger = DedupLedger<Winner>;
 
   double slack_;
-  std::map<std::string, Slot> heaviest_;  // app key -> current winner
-  std::map<std::string, std::size_t> runs_per_app_;
+  Ledger ledger_;
   PreprocessStats stats_;
 };
 

@@ -849,7 +849,12 @@ Expected<DispatchResult> run_dispatch(const DispatchOptions& options) {
         scheduler.note_running(claimed, "local");
         MOSAIC_SPAN("dispatch-degraded-task");
         const double start = now_ms();
-        auto partial = run_shard_task(request, pool);
+        ingest::IngestOptions shard_options;
+        shard_options.shard = request.shard;
+        shard_options.max_retries = request.max_retries;
+        shard_options.file_deadline_seconds = request.file_deadline_seconds;
+        auto partial = run_shard(request.paths, shard_options,
+                                 request.thresholds, pool);
         DispatchMetrics::get().task_ms.observe(now_ms() - start);
         if (!partial.has_value()) {
           scheduler.task_fatal(claimed, partial.error().to_string());

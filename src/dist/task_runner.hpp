@@ -1,28 +1,34 @@
-// Runs one shard task in-process: the library form of the `mosaic batch
-// --shard K/N` driver, shared by the worker loop and the manager's
-// degradation path (when every worker is lost the manager calls this
-// directly so the run still completes).
-//
-// The output is the same `mosaic-partial-v1` artifact a sharded batch run
-// writes, which is what keeps the distributed path inside the PR-5 golden
-// guarantee: merging the partials — however many processes produced them,
-// in whatever order, after however many retries — is byte-identical to the
-// single-shot run.
+// The one shard driver: ingests and analyzes one shard slice and assembles
+// its `mosaic-partial-v1` artifact. Every sharded path calls it — `mosaic
+// batch --shard K/N` and `--shards N`, the dispatch worker's task loop, and
+// the manager's degradation path (when every worker is lost the manager runs
+// the remaining shards in-process) — so merging the partials, however many
+// processes produced them, in whatever order, after however many retries,
+// is byte-identical to the single-shot run.
 #pragma once
 
-#include "dist/protocol.hpp"
+#include <string>
+#include <vector>
+
+#include "core/thresholds.hpp"
+#include "ingest/ingest.hpp"
 #include "parallel/thread_pool.hpp"
 #include "report/partial.hpp"
 #include "util/error.hpp"
 
 namespace mosaic::dist {
 
-/// Ingests and analyzes the shard slice described by `task` and assembles
-/// its partial artifact. Per-file failures are folded into the funnel (data,
-/// not errors); only setup-level failures return an Error. The artifact's
-/// obs paths stay empty — a streamed partial has no local journal/metrics
-/// sidecars.
-[[nodiscard]] util::Expected<report::PartialArtifact> run_shard_task(
-    const TaskRequest& task, parallel::ThreadPool& pool);
+/// Ingests the slice of `paths` that `options.shard` owns, analyzes its
+/// dedup winners and returns the shard's partial artifact. A resume journal
+/// in `options` is suffixed per shard (ingest::shard_suffix_path), so shard
+/// runs never share one; the artifact records the suffixed path. Per-file
+/// failures are folded into the funnel (data, not errors); only setup-level
+/// failures return an Error. An aborted ingest (`abort_after_files`) returns
+/// before analysis with `ingest.aborted` set and no traces. The metrics and
+/// provenance paths stay empty: they depend on the caller's obs session.
+[[nodiscard]] util::Expected<report::PartialArtifact> run_shard(
+    const std::vector<std::string>& paths,
+    const ingest::IngestOptions& options, const core::Thresholds& thresholds,
+    parallel::ThreadPool& pool);
 
 }  // namespace mosaic::dist

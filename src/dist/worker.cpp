@@ -213,7 +213,12 @@ bool Worker::handle_task(Connection& conn, const TaskRequest& task) {
     HeartbeatPump pump(conn, send_mutex,
                        options_.heartbeat_interval_seconds,
                        task.telemetry ? &telemetry_ : nullptr);
-    auto partial = run_shard_task(task, pool_);
+    ingest::IngestOptions shard_options;
+    shard_options.shard = task.shard;
+    shard_options.max_retries = task.max_retries;
+    shard_options.file_deadline_seconds = task.file_deadline_seconds;
+    auto partial = run_shard(task.paths, shard_options, task.thresholds,
+                             pool_);
     pump.stop();
     if (partial.has_value()) {
       reply_type = FrameType::kPartial;

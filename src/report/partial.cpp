@@ -70,21 +70,6 @@ Expected<std::map<std::string, std::size_t>> counts_from_json(
   return counts;
 }
 
-/// The cross-shard dedup comparator — deliberately identical to
-/// core::StreamingPreprocessor's retention rule (heavier total bytes, ties
-/// on smaller job id, then smaller source path) so the merged winner is the
-/// trace the single-shot run would have retained.
-bool shard_result_wins(const ShardTraceResult& challenger,
-                       const ShardTraceResult& incumbent) noexcept {
-  if (challenger.total_bytes != incumbent.total_bytes) {
-    return challenger.total_bytes > incumbent.total_bytes;
-  }
-  if (challenger.result.job_id != incumbent.result.job_id) {
-    return challenger.result.job_id < incumbent.result.job_id;
-  }
-  return challenger.source_path < incumbent.source_path;
-}
-
 }  // namespace
 
 Value partial_to_json(const PartialArtifact& partial) {
@@ -403,7 +388,11 @@ Expected<MergedPartials> merge_partials(std::vector<PartialArtifact> partials) {
 
   MergedPartials merged;
   core::PreprocessStats& stats = merged.batch.preprocess;
-  std::map<std::string, ShardTraceResult> winners;
+  // Shard winners replay through the same dedup rule the shards used, so
+  // the merged winner is the trace a single-shot run would have retained.
+  // The ledger's run counts see only shard winners; the weights come from
+  // the summed runs_per_app instead.
+  core::DedupLedger<ShardTraceResult> winners;
   for (PartialArtifact& partial : partials) {
     merged.ingest.files_scanned += partial.ingest.files_scanned;
     merged.ingest.loaded += partial.ingest.loaded;
@@ -432,19 +421,17 @@ Expected<MergedPartials> merge_partials(std::vector<PartialArtifact> partials) {
     }
 
     for (ShardTraceResult& entry : partial.traces) {
-      const auto [slot, inserted] =
-          winners.try_emplace(entry.result.app_key, std::move(entry));
-      if (!inserted && shard_result_wins(entry, slot->second)) {
-        slot->second = std::move(entry);
+      if (auto* slot = winners.admit(entry.result.app_key, entry.rank())) {
+        slot->winner = std::move(entry);
       }
     }
   }
 
-  // std::map iteration is sorted by application key — the same output order
+  // The ledger iterates in application-key order — the same output order
   // the single-shot StreamingPreprocessor::finish emits.
   merged.batch.results.reserve(winners.size());
-  for (auto& [app, entry] : winners) {
-    merged.batch.results.push_back(std::move(entry.result));
+  for (auto& [app, slot] : winners) {
+    merged.batch.results.push_back(std::move(slot.winner.result));
   }
   stats.unique_applications = merged.batch.results.size();
   stats.retained = merged.batch.results.size();

@@ -1,13 +1,14 @@
 // Mergeable partial results for sharded out-of-core batch analysis.
 //
-// A shard run (`mosaic batch --shard K/N`, or one iteration of
-// `--shards N`) analyzes the slice of the corpus its stable hash owns
-// (ingest/shard.hpp) and writes everything report generation needs as one
-// self-describing JSON artifact: its funnel counters, ingest statistics,
-// per-application run weights, per-trace categorization results with the
-// dedup digest (total bytes + source path) that lets the merge replay the
-// cross-shard dedup decision, and the shard-local artifact paths (journal,
-// metrics, provenance) for provenance joins and triage.
+// A shard run (dist::run_shard: `mosaic batch --shard K/N`, one iteration
+// of `--shards N`, or a dispatch task) analyzes the slice of the corpus its
+// stable hash owns (ingest/shard.hpp) and writes everything report
+// generation needs as one self-describing JSON artifact: its funnel
+// counters, ingest statistics, per-application run weights, per-trace
+// categorization results with the dedup digest (total bytes + source path)
+// that lets the merge replay the cross-shard dedup decision, and the
+// shard-local artifact paths (journal, metrics, provenance) for provenance
+// joins and triage.
 //
 // merge_partials() recombines N such artifacts into a core::BatchResult that
 // is byte-identical — through batch_to_json and the markdown report — to a
@@ -16,9 +17,9 @@
 //   - funnel counters and breakdown maps are summed;
 //   - runs-per-application weights are summed per key;
 //   - the retained trace per application is re-chosen across shard winners
-//     with the same comparator StreamingPreprocessor uses (heavier total
-//     bytes, then smaller job id, then smaller path), so the global winner
-//     is found even when an application's executions span shards;
+//     through core::DedupLedger, the dedup rule every driver uses, so the
+//     global winner is found even when an application's executions span
+//     shards;
 //   - results come out sorted by application key, as the single-shot
 //     preprocessor emits them.
 // This bounds batch memory by shard size, not corpus size, and makes
@@ -45,6 +46,11 @@ struct ShardTraceResult {
   core::TraceResult result;
   std::string source_path;        ///< dedup tiebreak (and triage pointer)
   std::uint64_t total_bytes = 0;  ///< dedup primary key (trace total bytes)
+
+  /// This run as the dedup rule (core::outranks) sees it.
+  [[nodiscard]] core::DedupRank rank() const noexcept {
+    return {total_bytes, result.job_id, source_path};
+  }
 };
 
 /// Everything one shard run contributes to the reduce.

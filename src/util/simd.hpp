@@ -10,6 +10,7 @@
 // and the categorization goldens (tests/integration/test_golden_ab.cpp)
 // enforce this on adversarial inputs — denormals, non-power-of-two lengths,
 // empty columns — and across forced-scalar runs (DESIGN.md §18).
+// sum() is the exception: it is scalar only (see its comment).
 //
 // Dispatch is resolved once per process from CPUID; MOSAIC_FORCE_SCALAR=1
 // pins the scalar path (the CI fallback job sets it on AVX2 runners). Tests
@@ -45,14 +46,14 @@ void clear_level_for_testing() noexcept;
 
 // --- Reductions (util/stats consumers) -------------------------------------
 
-/// Lane-structured sum. Four accumulators advance in lockstep; the horizontal
-/// reduce is (l0+l2)+(l1+l3); the tail (n % 4 elements) folds into the
-/// reduced value afterwards. Identical across levels bit for bit. Note the
-/// lane association differs from a plain sequential sum — for integer-valued
-/// doubles below 2^53 (byte counts, request counts) both are exact anyway.
+/// Lane-structured sum, scalar only. Four accumulators advance in lockstep;
+/// the horizontal reduce is (l0+l2)+(l1+l3); the tail (n % 4 elements) folds
+/// into the reduced value afterwards. The compiler vectorizes this loop as
+/// well as a hand-written AVX2 kernel did, so there is no dispatched variant
+/// (DESIGN.md §18). Note the lane association differs from a plain
+/// sequential sum — for integer-valued doubles below 2^53 (byte counts,
+/// request counts) both are exact anyway.
 [[nodiscard]] double sum(std::span<const double> values) noexcept;
-[[nodiscard]] double sum(std::span<const double> values,
-                         Level level) noexcept;
 
 /// Max over `values` plus the count of elements >= threshold, in one pass —
 /// the metadata spike scan. Max and count are order-independent-exact for

@@ -148,6 +148,18 @@ for k in 0 1; do
 done
 [ -s "$WORK/parts2/results.shard-0.json" ]
 [ -s "$WORK/parts2/results.shard-1.json" ]
+# A crashed shard run's hint names the --journal to pass back, and following
+# it must replay that shard's journal.
+rc=0
+"$MOSAIC" batch "$WORK/pop" --shard 0/2 --partials "$WORK/parts_abort" \
+    --journal "$WORK/shard_abort.jsonl" --abort-after 3 \
+    > /dev/null 2> "$WORK/shard_abort.txt" || rc=$?
+[ "$rc" -eq 3 ]
+grep -qF -- "--journal $WORK/shard_abort.jsonl --resume" \
+    "$WORK/shard_abort.txt"
+"$MOSAIC" batch "$WORK/pop" --shard 0/2 --partials "$WORK/parts_abort" \
+    --journal "$WORK/shard_abort.jsonl" --resume > "$WORK/shard_resume.txt"
+grep -Eq '[1-9][0-9]* replayed from journal' "$WORK/shard_resume.txt"
 [ -s "$WORK/shard.shard-0.jsonl" ]  # per-shard journal, not a shared one
 "$MOSAIC" merge "$WORK/parts2" --json "$WORK/sharded.json" \
     > "$WORK/merge.txt"

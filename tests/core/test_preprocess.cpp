@@ -123,6 +123,33 @@ TEST(Preprocess, TieBreaksKeepFirstHeaviest) {
   EXPECT_EQ(result.retained[0].meta.job_id, 7u);
 }
 
+TEST(Preprocess, TiesFollowTheDedupRuleInEveryDriver) {
+  // Equal weight, larger job id first: every driver must keep the smaller
+  // job id, as a sharded batch does, instead of the first run it saw.
+  const auto input = [] {
+    std::vector<trace::Trace> traces;
+    traces.push_back(make_trace("u", "app", 8, 100));
+    traces.push_back(make_trace("u", "app", 7, 100));
+    return traces;
+  };
+  const std::vector<trace::Trace> kept = input();
+  const PreprocessResult by_ref =
+      preprocess(std::span<const trace::Trace>(kept));
+  const PreprocessResult consumed = preprocess(input());
+  StreamingPreprocessor streaming;
+  std::vector<trace::Trace> streamed = input();
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    (void)streaming.add_trace(std::move(streamed[i]),
+                              "/t/" + std::to_string(i));
+  }
+  const PreprocessResult incremental = std::move(streaming).finish();
+  for (const PreprocessResult* result : {&by_ref, &consumed, &incremental}) {
+    ASSERT_EQ(result->retained.size(), 1u);
+    EXPECT_EQ(result->retained[0].meta.job_id, 7u);
+    EXPECT_EQ(result->runs_per_app.at("u/app"), 2u);
+  }
+}
+
 TEST(Preprocess, ValiditySlackForwarded) {
   trace::Trace t = make_trace("u1", "a", 1, 100);
   t.files[0].close_ts = 104.0;  // 4s past job end

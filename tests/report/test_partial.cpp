@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <random>
 #include <filesystem>
 #include <string>
 #include <utility>
@@ -16,6 +19,8 @@
 
 #include "core/pipeline.hpp"
 #include "darshan/binary_format.hpp"
+#include "darshan/io.hpp"
+#include "dist/task_runner.hpp"
 #include "ingest/ingest.hpp"
 #include "ingest/shard.hpp"
 #include "json/json.hpp"
@@ -64,38 +69,35 @@ class PartialTest : public ::testing::Test {
     return paths;
   }
 
-  /// Runs the ingest + analyze pipeline the CLI uses, for one shard (or the
-  /// whole corpus with the default spec).
-  PartialArtifact run_shard(const std::vector<std::string>& paths,
-                            const ingest::ShardSpec& spec) {
+  /// One shard (or the whole corpus with the default spec) through the
+  /// library shard driver every sharded path uses.
+  PartialArtifact shard_partial(const std::vector<std::string>& paths,
+                                const ingest::ShardSpec& spec) {
     ingest::IngestOptions options;
     options.shard = spec;
-    auto ingested = ingest::ingest_paths(paths, options, pool_);
-    EXPECT_TRUE(ingested.has_value());
-    std::vector<std::uint64_t> retained_bytes;
-    for (const trace::Trace& t : ingested->pre.retained) {
-      retained_bytes.push_back(t.total_bytes());
-    }
-    std::vector<std::string> retained_paths =
-        std::move(ingested->pre.retained_paths);
-    core::BatchResult batch =
-        core::analyze_preprocessed(std::move(ingested->pre), {}, &pool_);
-    EXPECT_EQ(batch.results.size(), retained_paths.size());
+    auto partial = dist::run_shard(paths, options, {}, pool_);
+    EXPECT_TRUE(partial.has_value()) << partial.error().to_string();
+    return std::move(*partial);
+  }
 
-    PartialArtifact partial;
-    partial.shard_index = spec.index;
-    partial.shard_count = spec.count;
-    partial.ingest = ingested->stats;
-    partial.stats = batch.preprocess;
-    partial.runs_per_app = std::move(batch.runs_per_app);
-    for (std::size_t i = 0; i < batch.results.size(); ++i) {
-      ShardTraceResult entry;
-      entry.result = std::move(batch.results[i]);
-      entry.source_path = std::move(retained_paths[i]);
-      entry.total_bytes = retained_bytes[i];
-      partial.traces.push_back(std::move(entry));
+  /// Shards the corpus N ways, routes every partial through the on-disk
+  /// write/read round trip, and merges.
+  core::BatchResult sharded_batch(const std::vector<std::string>& paths,
+                                  std::size_t count) {
+    std::vector<PartialArtifact> partials;
+    for (std::size_t k = 0; k < count; ++k) {
+      ingest::ShardSpec spec;
+      spec.index = k;
+      spec.count = count;
+      const std::string artifact = path(ingest::partial_filename(k));
+      EXPECT_TRUE(write_partial(shard_partial(paths, spec), artifact).ok());
+      auto reloaded = read_partial(artifact);
+      EXPECT_TRUE(reloaded.has_value()) << reloaded.error().to_string();
+      partials.push_back(std::move(*reloaded));
     }
-    return partial;
+    auto merged = merge_partials(std::move(partials));
+    EXPECT_TRUE(merged.has_value()) << merged.error().to_string();
+    return std::move(merged->batch);
   }
 
   /// The single-shot reference output the merge must reproduce.
@@ -108,25 +110,11 @@ class PartialTest : public ::testing::Test {
     return json::serialize(batch_to_json(batch, /*include_traces=*/true));
   }
 
-  /// Shards the corpus N ways, routes every partial through the on-disk
-  /// write/read round trip, merges, and serializes like the single shot.
+  /// The sharded run serialized like the single shot.
   std::string sharded_json(const std::vector<std::string>& paths,
                            std::size_t count) {
-    std::vector<PartialArtifact> partials;
-    for (std::size_t k = 0; k < count; ++k) {
-      ingest::ShardSpec spec;
-      spec.index = k;
-      spec.count = count;
-      const std::string artifact = path(ingest::partial_filename(k));
-      EXPECT_TRUE(write_partial(run_shard(paths, spec), artifact).ok());
-      auto reloaded = read_partial(artifact);
-      EXPECT_TRUE(reloaded.has_value()) << reloaded.error().to_string();
-      partials.push_back(std::move(*reloaded));
-    }
-    auto merged = merge_partials(std::move(partials));
-    EXPECT_TRUE(merged.has_value()) << merged.error().to_string();
     return json::serialize(
-        batch_to_json(merged->batch, /*include_traces=*/true));
+        batch_to_json(sharded_batch(paths, count), /*include_traces=*/true));
   }
 
   fs::path dir_;
@@ -138,7 +126,7 @@ TEST_F(PartialTest, ArtifactRoundTripsThroughJson) {
   ingest::ShardSpec spec;
   spec.index = 1;
   spec.count = 2;
-  const PartialArtifact partial = run_shard(paths, spec);
+  const PartialArtifact partial = shard_partial(paths, spec);
   ASSERT_FALSE(partial.traces.empty());
 
   const std::string serialized = json::serialize(partial_to_json(partial));
@@ -213,8 +201,8 @@ TEST_F(PartialTest, MergeReplaysCrossShardDedup) {
   shard1.index = 1;
   shard1.count = 2;
   std::vector<PartialArtifact> partials;
-  partials.push_back(run_shard(paths, shard0));
-  partials.push_back(run_shard(paths, shard1));
+  partials.push_back(shard_partial(paths, shard0));
+  partials.push_back(shard_partial(paths, shard1));
   ASSERT_EQ(partials[0].traces.size(), 1U);
   ASSERT_EQ(partials[1].traces.size(), 1U);
 
@@ -227,6 +215,93 @@ TEST_F(PartialTest, MergeReplaysCrossShardDedup) {
   EXPECT_EQ(merged->batch.runs_per_app.at("u1/solver"), 2U);
 }
 
+TEST_F(PartialTest, EveryDriverPicksTheSameWinnersAmongEqualWeightRuns) {
+  // Every run of an application moves the same bytes, job ids are shuffled
+  // across runs and file names are shuffled against job ids, so only the
+  // dedup rule's job-id tie-break decides — never input order, arrival
+  // order, path order or the shard a run lands in.
+  constexpr std::size_t kApps = 5;
+  constexpr std::size_t kRunsPerApp = 4;
+  std::mt19937 rng(20240711);
+  std::vector<std::uint64_t> job_ids(kApps * kRunsPerApp);
+  std::vector<std::size_t> name_ids(job_ids.size());
+  for (std::size_t i = 0; i < job_ids.size(); ++i) {
+    job_ids[i] = 100 + i;
+    name_ids[i] = i;
+  }
+  std::shuffle(job_ids.begin(), job_ids.end(), rng);
+  std::shuffle(name_ids.begin(), name_ids.end(), rng);
+
+  std::map<std::string, std::uint64_t> expected;  // app key -> min job id
+  std::vector<std::string> paths;
+  std::vector<trace::Trace> traces;
+  for (std::size_t i = 0; i < job_ids.size(); ++i) {
+    trace::Trace run;
+    run.meta.job_id = job_ids[i];
+    run.meta.app_name = "app" + std::to_string(i % kApps);
+    run.meta.user = "u";
+    run.meta.nprocs = 4;
+    run.meta.run_time = 100.0;
+    trace::FileRecord file;
+    file.file_id = 1;
+    file.bytes_written = 1 << 20;
+    file.writes = 4;
+    file.opens = 1;
+    file.closes = 1;
+    file.open_ts = 1.0;
+    file.close_ts = 90.0;
+    file.first_write_ts = 2.0;
+    file.last_write_ts = 80.0;
+    run.files.push_back(file);
+    const std::string file_path =
+        path("run_" + std::to_string(name_ids[i]) + ".mbt");
+    ASSERT_TRUE(darshan::write_mbt_file(run, file_path).ok());
+    auto [slot, inserted] =
+        expected.try_emplace(run.app_key(), run.meta.job_id);
+    if (!inserted) slot->second = std::min(slot->second, run.meta.job_id);
+    paths.push_back(file_path);
+    traces.push_back(std::move(run));
+  }
+  // The corpus must put some application's runs into both halves of a
+  // 2-way partition, or the merge would never replay a tie across shards.
+  std::map<std::string, std::size_t> shard_mask;
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    shard_mask[traces[i].app_key()] |= 1U << ingest::shard_of(paths[i], 2);
+  }
+  EXPECT_TRUE(std::any_of(shard_mask.begin(), shard_mask.end(),
+                          [](const auto& app) { return app.second == 3U; }));
+
+  const auto winners = [](const std::vector<trace::Trace>& retained) {
+    std::map<std::string, std::uint64_t> out;
+    for (const trace::Trace& t : retained) out[t.app_key()] = t.meta.job_id;
+    return out;
+  };
+  const auto result_winners = [](const core::BatchResult& batch) {
+    std::map<std::string, std::uint64_t> out;
+    for (const core::TraceResult& r : batch.results) out[r.app_key] = r.job_id;
+    return out;
+  };
+
+  EXPECT_EQ(winners(core::preprocess(traces).retained), expected);
+  for (const bool reversed : {false, true}) {
+    std::vector<std::size_t> order(paths.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    if (reversed) std::reverse(order.begin(), order.end());
+    core::StreamingPreprocessor streaming;
+    for (const std::size_t i : order) {
+      auto loaded = darshan::read_trace_file(paths[i]);
+      ASSERT_TRUE(loaded.has_value()) << loaded.error().to_string();
+      (void)streaming.add_trace(std::move(*loaded), paths[i]);
+    }
+    EXPECT_EQ(winners(std::move(streaming).finish().retained), expected)
+        << (reversed ? "reversed" : "forward") << " arrival";
+  }
+  for (const std::size_t count : {1U, 2U, 8U}) {
+    EXPECT_EQ(result_winners(sharded_batch(paths, count)), expected)
+        << count << " shard(s)";
+  }
+}
+
 TEST_F(PartialTest, MergeRejectsIncompleteOrInconsistentPartitions) {
   const auto paths = seed_population(20, 7);
   ingest::ShardSpec spec0;
@@ -235,8 +310,8 @@ TEST_F(PartialTest, MergeRejectsIncompleteOrInconsistentPartitions) {
   ingest::ShardSpec spec1;
   spec1.index = 1;
   spec1.count = 2;
-  const PartialArtifact p0 = run_shard(paths, spec0);
-  const PartialArtifact p1 = run_shard(paths, spec1);
+  const PartialArtifact p0 = shard_partial(paths, spec0);
+  const PartialArtifact p1 = shard_partial(paths, spec1);
 
   EXPECT_FALSE(merge_partials({}).has_value());
 
@@ -260,7 +335,7 @@ TEST_F(PartialTest, MergeReportsEveryPartitionProblemAtOnce) {
   ingest::ShardSpec spec0;
   spec0.index = 0;
   spec0.count = 4;
-  const PartialArtifact p0 = run_shard(paths, spec0);
+  const PartialArtifact p0 = shard_partial(paths, spec0);
 
   // Shard 0 duplicated, shard 2's count disagrees, shards 1 and 3 missing:
   // one merge attempt must name all four problems, not just the first.
@@ -295,7 +370,7 @@ TEST_F(PartialTest, ExpandPartialPathsScansDirectories) {
   ingest::ShardSpec spec;
   spec.index = 0;
   spec.count = 1;
-  const PartialArtifact partial = run_shard(paths, spec);
+  const PartialArtifact partial = shard_partial(paths, spec);
   const fs::path parts = dir_ / "parts";
   fs::create_directories(parts);
   ASSERT_TRUE(

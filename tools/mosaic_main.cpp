@@ -33,6 +33,7 @@
 #include "dist/dispatch.hpp"
 #include "dist/faults.hpp"
 #include "dist/net.hpp"
+#include "dist/task_runner.hpp"
 #include "dist/telemetry.hpp"
 #include "dist/worker.hpp"
 #include "obs/http.hpp"
@@ -167,25 +168,46 @@ void add_obs_cli_options(util::CliParser& cli) {
   cli.add_option("profile-hz", "profiler sampling frequency", "97");
 }
 
-/// Validates --profile-hz; nullopt (after printing) on values <= 0.
-std::optional<double> parse_profile_hz(const util::CliParser& cli) {
-  const auto hz = cli.get_double("profile-hz");
-  if (!hz.has_value() || *hz <= 0.0) {
-    std::fprintf(stderr, "--profile-hz must be a positive frequency\n");
+/// The obs sinks and sampling settings one subcommand run asks for.
+struct ObsFlags {
+  std::string metrics_path;
+  std::string trace_path;
+  double progress_seconds = 0.0;
+  std::string provenance_dir;
+  std::uint64_t provenance_sample = 1;
+  std::string profile_path;
+  double profile_hz = obs::Profiler::kDefaultHz;
+};
+
+/// Reads the add_obs_cli_options flags; nullopt (after printing) on a
+/// negative --progress, a --provenance-sample below 1 or a --profile-hz
+/// that is not positive.
+std::optional<ObsFlags> parse_obs_flags(const util::CliParser& cli) {
+  ObsFlags flags;
+  const auto progress = cli.get_double("progress");
+  if (!progress.has_value() || *progress < 0.0) {
+    std::fprintf(stderr, "--progress must be a non-negative number of "
+                         "seconds\n");
     return std::nullopt;
   }
-  return *hz;
-}
-
-/// Validates --provenance-sample; nullopt (after printing) on values < 1.
-std::optional<std::uint64_t> parse_provenance_sample(
-    const util::CliParser& cli) {
   const auto sample = cli.get_int("provenance-sample");
   if (!sample.has_value() || *sample < 1) {
     std::fprintf(stderr, "--provenance-sample must be a positive integer\n");
     return std::nullopt;
   }
-  return static_cast<std::uint64_t>(*sample);
+  const auto hz = cli.get_double("profile-hz");
+  if (!hz.has_value() || *hz <= 0.0) {
+    std::fprintf(stderr, "--profile-hz must be a positive frequency\n");
+    return std::nullopt;
+  }
+  flags.metrics_path = std::string(cli.get("metrics"));
+  flags.trace_path = std::string(cli.get("trace-events"));
+  flags.progress_seconds = *progress;
+  flags.provenance_dir = std::string(cli.get("provenance"));
+  flags.provenance_sample = static_cast<std::uint64_t>(*sample);
+  flags.profile_path = std::string(cli.get("profile"));
+  flags.profile_hz = *hz;
+  return flags;
 }
 
 /// Arms the sinks requested via --metrics/--trace-events/--progress and
@@ -193,22 +215,20 @@ std::optional<std::uint64_t> parse_provenance_sample(
 /// error exits so an aborted run still leaves its telemetry behind.
 class ObsSession {
  public:
-  ObsSession(std::string metrics_path, std::string trace_path,
-             double progress_seconds, std::string provenance_dir = "",
-             std::uint64_t provenance_sample = 1,
-             std::string profile_path = "",
-             double profile_hz = obs::Profiler::kDefaultHz)
-      : metrics_path_(std::move(metrics_path)),
-        trace_path_(std::move(trace_path)),
-        provenance_dir_(std::move(provenance_dir)),
-        profile_path_(std::move(profile_path)) {
+  explicit ObsSession(const ObsFlags& flags)
+      : metrics_path_(flags.metrics_path),
+        trace_path_(flags.trace_path),
+        provenance_dir_(flags.provenance_dir),
+        profile_path_(flags.profile_path) {
     if (!trace_path_.empty()) obs::SpanTracer::global().enable();
     if (!provenance_dir_.empty()) {
-      obs::ProvenanceJournal::global().enable(provenance_sample);
+      obs::ProvenanceJournal::global().enable(flags.provenance_sample);
     }
-    if (!profile_path_.empty()) obs::Profiler::global().enable(profile_hz);
-    if (progress_seconds > 0.0) {
-      heartbeat_ = std::make_unique<obs::Heartbeat>(progress_seconds);
+    if (!profile_path_.empty()) {
+      obs::Profiler::global().enable(flags.profile_hz);
+    }
+    if (flags.progress_seconds > 0.0) {
+      heartbeat_ = std::make_unique<obs::Heartbeat>(flags.progress_seconds);
     }
   }
 
@@ -299,17 +319,6 @@ class ObsSession {
   bool finished_ = false;
   bool ok_ = true;
 };
-
-/// Validates --progress; nullopt (after printing) on a negative value.
-std::optional<double> parse_progress(const util::CliParser& cli) {
-  const auto progress = cli.get_double("progress");
-  if (!progress.has_value() || *progress < 0.0) {
-    std::fprintf(stderr, "--progress must be a non-negative number of "
-                         "seconds\n");
-    return std::nullopt;
-  }
-  return *progress;
-}
 
 /// Registers the fault-tolerance options shared by the ingest-driven
 /// subcommands (batch, report, analyze).
@@ -453,36 +462,32 @@ bool print_batch_summary(const core::BatchResult& batch,
   return true;
 }
 
-/// Ingests and analyzes the corpus slice `spec` owns and assembles its
-/// partial artifact (all fields except the obs paths, which depend on the
-/// caller's session mode). The resume journal is suffixed per shard so
-/// shard runs never share one. Returns an exit code; 0 fills `out`.
-int run_shard_batch(const ingest::ShardSpec& spec,
-                    const ingest::IngestOptions& base,
+/// `mosaic batch`'s per-shard step: runs the shard driver over the slice
+/// `spec` owns and prints its ingest line. Returns 0 and fills `out`, or the
+/// exit code after printing (2 on a setup error, 3 on a simulated crash).
+int run_batch_shard(const ingest::ShardSpec& spec,
+                    ingest::IngestOptions options,
                     const std::vector<std::string>& paths,
                     const core::Thresholds& thresholds,
                     parallel::ThreadPool& pool,
                     report::PartialArtifact& out) {
-  ingest::IngestOptions options = base;
   options.shard = spec;
-  if (!options.journal_path.empty()) {
-    options.journal_path =
-        ingest::shard_suffix_path(base.journal_path, spec.index);
-  }
   util::Stopwatch watch;
-  auto ingested = ingest::ingest_paths(paths, options, pool);
-  if (!ingested.has_value()) {
-    std::fprintf(stderr, "%s\n", ingested.error().to_string().c_str());
+  auto partial = dist::run_shard(paths, options, thresholds, pool);
+  if (!partial.has_value()) {
+    std::fprintf(stderr, "%s\n", partial.error().to_string().c_str());
     return 2;
   }
-  const ingest::IngestStats io = ingested->stats;
+  const ingest::IngestStats& io = partial->ingest;
   std::printf("shard %zu/%zu: ingested %zu files: %zu loaded, %zu evicted "
               "before validity (%zu recovered after retry, %zu quarantined, "
-              "%zu replayed from journal) in %s\n",
+              "%zu replayed from journal); shard run took %s\n",
               spec.index, spec.count, io.files_scanned, io.loaded, io.failed,
               io.recovered, io.quarantined, io.journal_replayed,
               util::format_duration(watch.elapsed_seconds()).c_str());
   if (io.aborted) {
+    // The hint names the --journal as given: the shard suffix is applied
+    // again on the re-run.
     std::fprintf(stderr,
                  "mosaic batch: shard %zu/%zu aborted after %zu files "
                  "(simulated crash); re-run with --journal %s --resume to "
@@ -492,36 +497,7 @@ int run_shard_batch(const ingest::ShardSpec& spec,
                                               : options.journal_path.c_str());
     return 3;
   }
-
-  // Snapshot the dedup digests before analysis consumes the traces: the
-  // merge needs (total bytes, source path) to replay cross-shard dedup.
-  std::vector<std::uint64_t> retained_bytes;
-  retained_bytes.reserve(ingested->pre.retained.size());
-  for (const trace::Trace& t : ingested->pre.retained) {
-    retained_bytes.push_back(t.total_bytes());
-  }
-  std::vector<std::string> retained_paths =
-      std::move(ingested->pre.retained_paths);
-
-  core::BatchResult batch =
-      core::analyze_preprocessed(std::move(ingested->pre), thresholds, &pool);
-  MOSAIC_ASSERT(batch.results.size() == retained_paths.size());
-
-  out = report::PartialArtifact{};
-  out.shard_index = spec.index;
-  out.shard_count = spec.count;
-  out.ingest = io;
-  out.stats = batch.preprocess;
-  out.runs_per_app = std::move(batch.runs_per_app);
-  out.journal_path = options.journal_path;
-  out.traces.reserve(batch.results.size());
-  for (std::size_t i = 0; i < batch.results.size(); ++i) {
-    report::ShardTraceResult entry;
-    entry.result = std::move(batch.results[i]);
-    entry.source_path = std::move(retained_paths[i]);
-    entry.total_bytes = retained_bytes[i];
-    out.traces.push_back(std::move(entry));
-  }
+  out = std::move(*partial);
   return 0;
 }
 
@@ -576,17 +552,9 @@ int cmd_analyze(int argc, char** argv) {
   std::unique_ptr<ingest::FaultyFileReader> faulty;
   const auto options = make_ingest_options(cli, faulty);
   if (!options.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  const auto obs_flags = parse_obs_flags(cli);
+  if (!obs_flags.has_value()) return 2;
+  ObsSession obs_session(*obs_flags);
   const core::Analyzer analyzer(load_thresholds(cli));
   int failures = 0;
   for (const std::string& path : paths) {
@@ -650,10 +618,8 @@ int cmd_batch(int argc, char** argv) {
   std::unique_ptr<ingest::FaultyFileReader> faulty;
   const auto options = make_ingest_options(cli, faulty);
   if (!options.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
+  auto obs_flags = parse_obs_flags(cli);
+  if (!obs_flags.has_value()) return 2;
 
   const std::string shard_text{cli.get("shard")};
   const auto shard_total = cli.get_int("shards");
@@ -688,30 +654,17 @@ int cmd_batch(int argc, char** argv) {
 
   // A shard run derives its obs paths from the shard id so N concurrent
   // shard processes launched from one command line never clobber each
-  // other's metrics/trace/provenance files.
-  std::string metrics_path{cli.get("metrics")};
-  std::string trace_path{cli.get("trace-events")};
-  std::string provenance_dir{cli.get("provenance")};
+  // other's metrics/trace/provenance/profile files.
   if (shard.has_value()) {
-    if (!metrics_path.empty()) {
-      metrics_path = ingest::shard_suffix_path(metrics_path, shard->index);
-    }
-    if (!trace_path.empty()) {
-      trace_path = ingest::shard_suffix_path(trace_path, shard->index);
-    }
-    if (!provenance_dir.empty()) {
-      provenance_dir = ingest::shard_suffix_path(provenance_dir,
-                                                 shard->index);
+    for (std::string* obs_path :
+         {&obs_flags->metrics_path, &obs_flags->trace_path,
+          &obs_flags->provenance_dir, &obs_flags->profile_path}) {
+      if (!obs_path->empty()) {
+        *obs_path = ingest::shard_suffix_path(*obs_path, shard->index);
+      }
     }
   }
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-  std::string profile_path{cli.get("profile")};
-  if (shard.has_value() && !profile_path.empty()) {
-    profile_path = ingest::shard_suffix_path(profile_path, shard->index);
-  }
-  ObsSession obs_session(metrics_path, trace_path, *progress, provenance_dir,
-                         *provenance_sample, profile_path, *profile_hz);
+  ObsSession obs_session(*obs_flags);
   if (!partials_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(partials_dir, ec);
@@ -726,15 +679,16 @@ int cmd_batch(int argc, char** argv) {
 
   if (shard.has_value()) {
     report::PartialArtifact partial;
-    if (const int rc = run_shard_batch(*shard, *options, paths, thresholds,
+    if (const int rc = run_batch_shard(*shard, *options, paths, thresholds,
                                        pool, partial);
         rc != 0) {
       return rc;
     }
-    partial.metrics_path = metrics_path;
-    partial.provenance_path = provenance_dir.empty()
-                                  ? std::string()
-                                  : provenance_dir + "/provenance.jsonl";
+    partial.metrics_path = obs_flags->metrics_path;
+    partial.provenance_path =
+        obs_flags->provenance_dir.empty()
+            ? std::string()
+            : obs_flags->provenance_dir + "/provenance.jsonl";
     const std::string out_path =
         partials_dir + "/" + ingest::partial_filename(shard->index);
     if (const auto status = report::write_partial(partial, out_path);
@@ -757,7 +711,7 @@ int cmd_batch(int argc, char** argv) {
     partials.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
       report::PartialArtifact partial;
-      if (const int rc = run_shard_batch(ingest::ShardSpec{k, count},
+      if (const int rc = run_batch_shard(ingest::ShardSpec{k, count},
                                          *options, paths, thresholds, pool,
                                          partial);
           rc != 0) {
@@ -961,10 +915,8 @@ int cmd_worker(int argc, char** argv) {
   if (!thread_count.has_value()) return 2;
   const auto heartbeat = parse_positive_seconds(cli, "heartbeat-interval");
   if (!heartbeat.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
+  const auto obs_flags = parse_obs_flags(cli);
+  if (!obs_flags.has_value()) return 2;
 
   dist::WorkerOptions options;
   options.listen = *listen;
@@ -982,17 +934,10 @@ int cmd_worker(int argc, char** argv) {
     options.fault = *spec;
   }
 
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-
   // Worker-local telemetry sinks. Note the federation path needs none of
   // these: snapshots ship to the manager on heartbeats regardless, and
   // span collection is switched on by the task request itself.
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  ObsSession obs_session(*obs_flags);
 
   dist::Worker worker(std::move(options));
   if (const auto status = worker.bind(); !status.ok()) {
@@ -1143,10 +1088,8 @@ int cmd_dispatch(int argc, char** argv) {
   }
   const auto thread_count = parse_thread_count(cli);
   if (!thread_count.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
+  auto obs_flags = parse_obs_flags(cli);
+  if (!obs_flags.has_value()) return 2;
 
   options.shard_count = static_cast<std::size_t>(*shards);
   options.max_task_attempts = static_cast<std::size_t>(*max_attempts);
@@ -1174,8 +1117,8 @@ int cmd_dispatch(int argc, char** argv) {
   // endpoint is up. --metrics and --trace-events switch from the
   // single-process writers to the *fleet* views: merged worker-labeled
   // metrics and the multi-lane clock-aligned Chrome trace.
-  const std::string metrics_path(cli.get("metrics"));
-  const std::string trace_path(cli.get("trace-events"));
+  const std::string metrics_path = obs_flags->metrics_path;
+  const std::string trace_path = obs_flags->trace_path;
   dist::TelemetryHub hub;
   options.telemetry = &hub;
   options.collect_spans = !trace_path.empty();
@@ -1203,7 +1146,7 @@ int cmd_dispatch(int argc, char** argv) {
     obs::announce_http_endpoint("dispatch", endpoint.host,
                                 hub.endpoint_port());
   }
-  hub.start_progress(*progress);
+  hub.start_progress(obs_flags->progress_seconds);
 
   // Flushes the fleet sinks on every exit path (including abort /
   // quarantine early returns), mirroring what ObsSession does for the
@@ -1246,14 +1189,13 @@ int cmd_dispatch(int argc, char** argv) {
     }
   } fleet{hub, metrics_path, trace_path};
 
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
   // The hub owns the fleet views of --metrics/--trace-events/--progress;
   // ObsSession keeps covering provenance and the manager-side profile
   // (collapsed stacks of the dispatch/merge path itself).
-  ObsSession obs_session("", "", 0.0, std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  obs_flags->metrics_path.clear();
+  obs_flags->trace_path.clear();
+  obs_flags->progress_seconds = 0.0;
+  ObsSession obs_session(*obs_flags);
   install_stop_handlers();
 
   util::Stopwatch watch;
@@ -1361,10 +1303,8 @@ int cmd_report(int argc, char** argv) {
   std::unique_ptr<ingest::FaultyFileReader> faulty;
   const auto options = make_ingest_options(cli, faulty);
   if (!options.has_value()) return 2;
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
+  const auto obs_flags = parse_obs_flags(cli);
+  if (!obs_flags.has_value()) return 2;
   const bool confusion = cli.get_flag("confusion");
   const std::string truth_path{cli.get("truth")};
   if (confusion && truth_path.empty()) {
@@ -1376,13 +1316,7 @@ int cmd_report(int argc, char** argv) {
     std::fprintf(stderr, "--straddling must be a non-negative integer\n");
     return 2;
   }
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  ObsSession obs_session(*obs_flags);
   // The drill-down is computed from journal records, not by re-analyzing, so
   // --confusion needs the journal armed even without a --provenance dir. A
   // partials reduce never analyzes, so it reads the shard runs' recorded
@@ -1390,7 +1324,7 @@ int cmd_report(int argc, char** argv) {
   obs::ProvenanceJournal& journal = obs::ProvenanceJournal::global();
   const bool confusion_armed_journal =
       confusion && !from_partials && !journal.enabled();
-  if (confusion_armed_journal) journal.enable(*provenance_sample);
+  if (confusion_armed_journal) journal.enable(obs_flags->provenance_sample);
 
   parallel::ThreadPool pool(*thread_count);
   core::BatchResult batch;
@@ -1528,7 +1462,7 @@ int cmd_report(int argc, char** argv) {
     }
     md += "\n## Accuracy drill-down\n\n";
     md += "Computed by joining the decision-provenance journal (1 in " +
-          std::to_string(*provenance_sample) +
+          std::to_string(obs_flags->provenance_sample) +
           " traces sampled) against the generator's ground-truth sidecar — "
           "no re-analysis.\n\n";
     md += report::render_confusion(drill);
@@ -1897,19 +1831,11 @@ int cmd_daemon(int argc, char** argv) {
   if (!health_rules.has_value()) return 2;
   options.health_rules = std::move(*health_rules);
 
-  const auto progress = parse_progress(cli);
-  if (!progress.has_value()) return 2;
-  const auto provenance_sample = parse_provenance_sample(cli);
-  if (!provenance_sample.has_value()) return 2;
-  const auto profile_hz = parse_profile_hz(cli);
-  if (!profile_hz.has_value()) return 2;
+  const auto obs_flags = parse_obs_flags(cli);
+  if (!obs_flags.has_value()) return 2;
   // The session flushes the provenance journal and metrics sinks when run()
   // drains — the graceful half of SIGINT/SIGTERM handling.
-  ObsSession obs_session(std::string(cli.get("metrics")),
-                         std::string(cli.get("trace-events")), *progress,
-                         std::string(cli.get("provenance")),
-                         *provenance_sample, std::string(cli.get("profile")),
-                         *profile_hz);
+  ObsSession obs_session(*obs_flags);
 
   install_stop_handlers();
   options.stop = &g_stop_requested;
