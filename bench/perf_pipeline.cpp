@@ -14,8 +14,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -510,6 +512,77 @@ AllocationResult measure_allocations_per_trace() {
   return result;
 }
 
+/// darshan-parser text reader cost (DESIGN.md §12): parse_text over a
+/// multi-archetype corpus rendered with to_text, the shape `mosaic batch`
+/// reads from disk.
+struct TextParseResult {
+  bool counted = false;        ///< false when the bench hook is compiled out
+  std::size_t documents = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t rows = 0;      ///< counter rows (not headers, not blank)
+  double mb_per_second = 0.0;  ///< fastest pass over the whole corpus
+  std::uint64_t allocations = 0;
+  double allocations_per_row = 0.0;
+};
+
+/// Parses up to 16 valid traces of every archetype in the shared population.
+/// Throughput uses the fastest of several passes (noise is additive, as in
+/// the throughput experiment); allocations are counted over one pass, and
+/// include the parsed Trace itself (records, file names), so a row that
+/// allocates shows up as a per-row count near or above 1.
+TextParseResult measure_text_parse() {
+  TextParseResult result;
+#if defined(MOSAIC_BENCH_COUNT_ALLOCS)
+  result.counted = true;
+#endif
+  constexpr std::size_t kPerArchetype = 16;
+  std::vector<std::string> documents;
+  std::map<std::string, std::size_t> taken;  // documents per archetype
+  for (const sim::LabeledTrace& labeled : population().traces) {
+    if (labeled.corrupted || ++taken[labeled.archetype] > kPerArchetype) {
+      continue;
+    }
+    documents.push_back(darshan::to_text(labeled.trace));
+  }
+  result.documents = documents.size();
+  for (const std::string& document : documents) {
+    result.bytes += document.size();
+    for (std::size_t at = 0; at < document.size();) {
+      const std::size_t eol = std::min(document.find('\n', at), document.size());
+      if (eol > at && document[at] != '#') ++result.rows;
+      at = eol + 1;
+    }
+  }
+  const auto parse_all = [&documents] {
+    for (const std::string& document : documents) {
+      benchmark::DoNotOptimize(darshan::parse_text(document));
+    }
+  };
+
+  parse_all();  // warm-up
+  constexpr int kReps = 40;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kReps; ++rep) {
+    const util::Stopwatch watch;
+    parse_all();
+    best = std::min(best, watch.elapsed_seconds());
+  }
+  if (best > 0.0) {
+    result.mb_per_second = static_cast<double>(result.bytes) / 1e6 / best;
+  }
+
+  g_allocation_count.store(0, std::memory_order_relaxed);
+  g_count_allocations.store(true, std::memory_order_relaxed);
+  parse_all();
+  g_count_allocations.store(false, std::memory_order_relaxed);
+  result.allocations = g_allocation_count.load(std::memory_order_relaxed);
+  if (result.rows > 0) {
+    result.allocations_per_row = static_cast<double>(result.allocations) /
+                                 static_cast<double>(result.rows);
+  }
+  return result;
+}
+
 /// One per-kernel cycle/byte measurement (DESIGN.md §18): the kernel run in
 /// isolation over a fixed working set at the scalar level and at the
 /// dispatched level. `speedup` is scalar-cycles / dispatched-cycles; on a
@@ -650,6 +723,7 @@ std::uint64_t counter_value(const obs::Snapshot& snapshot,
 void write_bench_json(const OverheadResult& overhead,
                       const ProfilerOverheadResult& profiler,
                       const AllocationResult& allocations,
+                      const TextParseResult& text_parse,
                       const std::vector<KernelCounter>& kernels,
                       const std::string& path) {
   const obs::Snapshot snapshot = obs::Registry::global().snapshot();
@@ -703,6 +777,16 @@ void write_bench_json(const OverheadResult& overhead,
   allocs.set("traces", allocations.traces);
   out.set("allocations", std::move(allocs));
 
+  json::Object text;
+  text.set("counted", text_parse.counted);
+  text.set("documents", text_parse.documents);
+  text.set("bytes", text_parse.bytes);
+  text.set("rows", text_parse.rows);
+  text.set("mb_per_second", text_parse.mb_per_second);
+  text.set("allocations", text_parse.allocations);
+  text.set("allocations_per_row", text_parse.allocations_per_row);
+  out.set("text_parse", std::move(text));
+
   json::Object kernel_section;
   for (const KernelCounter& kernel : kernels) {
     json::Object entry;
@@ -747,8 +831,9 @@ int main(int argc, char** argv) {
   const OverheadResult overhead = measure_instrumentation_overhead();
   const ProfilerOverheadResult profiler = measure_profiler_overhead();
   const AllocationResult allocations = measure_allocations_per_trace();
+  const TextParseResult text_parse = measure_text_parse();
   const std::vector<KernelCounter> kernels = measure_kernel_counters();
-  write_bench_json(overhead, profiler, allocations, kernels,
+  write_bench_json(overhead, profiler, allocations, text_parse, kernels,
                    "BENCH_perf_pipeline.json");
   benchmark::Shutdown();
   return 0;

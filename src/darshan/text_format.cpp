@@ -1,14 +1,17 @@
 #include "darshan/text_format.hpp"
 
 #include <cinttypes>
-#include <set>
-#include <tuple>
+#include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <map>
-#include <sstream>
+#include <cstring>
+#include <iterator>
+#include <optional>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/fs.hpp"
+#include "util/mmap.hpp"
 #include "util/strings.hpp"
 
 namespace mosaic::darshan {
@@ -21,6 +24,17 @@ using util::Expected;
 using util::Status;
 
 namespace {
+
+/// The three instrumented APIs the paper names. darshan-parser spells the
+/// MPI-IO module "MPI-IO"; "MPIIO" is accepted as the same module.
+enum class Module : std::uint8_t { kPosix, kMpiio, kStdio };
+
+std::optional<Module> module_of(std::string_view name) noexcept {
+  if (name == "POSIX") return Module::kPosix;
+  if (name == "MPI-IO" || name == "MPIIO") return Module::kMpiio;
+  if (name == "STDIO") return Module::kStdio;
+  return std::nullopt;  // LUSTRE, HEATMAP, ... are out of scope
+}
 
 /// Counter slots the parser understands, applied to a FileRecord.
 enum class Counter {
@@ -46,71 +60,94 @@ struct CounterSpec {
   bool additive = false;
 };
 
-/// Understood counters across the POSIX, MPI-IO and STDIO modules (the three
-/// APIs the paper names). Unknown counters are skipped.
-const std::map<std::string_view, CounterSpec>& counter_table() {
-  static const std::map<std::string_view, CounterSpec> table{
-      // POSIX.
-      {"POSIX_OPENS", {Counter::kOpens}},
-      {"POSIX_CLOSES", {Counter::kCloses}},  // emitted by us; absent upstream
-      {"POSIX_SEEKS", {Counter::kSeeks}},
-      {"POSIX_READS", {Counter::kReads}},
-      {"POSIX_WRITES", {Counter::kWrites}},
-      {"POSIX_BYTES_READ", {Counter::kBytesRead}},
-      {"POSIX_BYTES_WRITTEN", {Counter::kBytesWritten}},
-      {"POSIX_F_OPEN_START_TIMESTAMP", {Counter::kOpenStart}},
-      {"POSIX_F_CLOSE_END_TIMESTAMP", {Counter::kCloseEnd}},
-      {"POSIX_F_READ_START_TIMESTAMP", {Counter::kReadStart}},
-      {"POSIX_F_READ_END_TIMESTAMP", {Counter::kReadEnd}},
-      {"POSIX_F_WRITE_START_TIMESTAMP", {Counter::kWriteStart}},
-      {"POSIX_F_WRITE_END_TIMESTAMP", {Counter::kWriteEnd}},
-      // MPI-IO: independent and collective call counts accumulate.
-      {"MPIIO_INDEP_OPENS", {Counter::kOpens, true}},
-      {"MPIIO_COLL_OPENS", {Counter::kOpens, true}},
-      {"MPIIO_INDEP_READS", {Counter::kReads, true}},
-      {"MPIIO_COLL_READS", {Counter::kReads, true}},
-      {"MPIIO_INDEP_WRITES", {Counter::kWrites, true}},
-      {"MPIIO_COLL_WRITES", {Counter::kWrites, true}},
-      {"MPIIO_BYTES_READ", {Counter::kBytesRead}},
-      {"MPIIO_BYTES_WRITTEN", {Counter::kBytesWritten}},
-      {"MPIIO_F_OPEN_START_TIMESTAMP", {Counter::kOpenStart}},
-      {"MPIIO_F_CLOSE_END_TIMESTAMP", {Counter::kCloseEnd}},
-      {"MPIIO_F_READ_START_TIMESTAMP", {Counter::kReadStart}},
-      {"MPIIO_F_READ_END_TIMESTAMP", {Counter::kReadEnd}},
-      {"MPIIO_F_WRITE_START_TIMESTAMP", {Counter::kWriteStart}},
-      {"MPIIO_F_WRITE_END_TIMESTAMP", {Counter::kWriteEnd}},
-      // STDIO.
-      {"STDIO_OPENS", {Counter::kOpens}},
-      {"STDIO_SEEKS", {Counter::kSeeks}},
-      {"STDIO_READS", {Counter::kReads}},
-      {"STDIO_WRITES", {Counter::kWrites}},
-      {"STDIO_BYTES_READ", {Counter::kBytesRead}},
-      {"STDIO_BYTES_WRITTEN", {Counter::kBytesWritten}},
-      {"STDIO_F_OPEN_START_TIMESTAMP", {Counter::kOpenStart}},
-      {"STDIO_F_CLOSE_END_TIMESTAMP", {Counter::kCloseEnd}},
-      {"STDIO_F_READ_START_TIMESTAMP", {Counter::kReadStart}},
-      {"STDIO_F_READ_END_TIMESTAMP", {Counter::kReadEnd}},
-      {"STDIO_F_WRITE_START_TIMESTAMP", {Counter::kWriteStart}},
-      {"STDIO_F_WRITE_END_TIMESTAMP", {Counter::kWriteEnd}},
-  };
-  return table;
-}
+/// Understood counters across the POSIX, MPI-IO and STDIO modules. A row's
+/// counter is looked up by name alone, whatever its module column says.
+/// Unknown counters are skipped.
+constexpr std::pair<std::string_view, CounterSpec> kCounters[] = {
+    // POSIX.
+    {"POSIX_OPENS", {Counter::kOpens}},
+    {"POSIX_CLOSES", {Counter::kCloses}},  // emitted by us; absent upstream
+    {"POSIX_SEEKS", {Counter::kSeeks}},
+    {"POSIX_READS", {Counter::kReads}},
+    {"POSIX_WRITES", {Counter::kWrites}},
+    {"POSIX_BYTES_READ", {Counter::kBytesRead}},
+    {"POSIX_BYTES_WRITTEN", {Counter::kBytesWritten}},
+    {"POSIX_F_OPEN_START_TIMESTAMP", {Counter::kOpenStart}},
+    {"POSIX_F_CLOSE_END_TIMESTAMP", {Counter::kCloseEnd}},
+    {"POSIX_F_READ_START_TIMESTAMP", {Counter::kReadStart}},
+    {"POSIX_F_READ_END_TIMESTAMP", {Counter::kReadEnd}},
+    {"POSIX_F_WRITE_START_TIMESTAMP", {Counter::kWriteStart}},
+    {"POSIX_F_WRITE_END_TIMESTAMP", {Counter::kWriteEnd}},
+    // MPI-IO: independent and collective call counts accumulate.
+    {"MPIIO_INDEP_OPENS", {Counter::kOpens, true}},
+    {"MPIIO_COLL_OPENS", {Counter::kOpens, true}},
+    {"MPIIO_INDEP_READS", {Counter::kReads, true}},
+    {"MPIIO_COLL_READS", {Counter::kReads, true}},
+    {"MPIIO_INDEP_WRITES", {Counter::kWrites, true}},
+    {"MPIIO_COLL_WRITES", {Counter::kWrites, true}},
+    {"MPIIO_BYTES_READ", {Counter::kBytesRead}},
+    {"MPIIO_BYTES_WRITTEN", {Counter::kBytesWritten}},
+    {"MPIIO_F_OPEN_START_TIMESTAMP", {Counter::kOpenStart}},
+    {"MPIIO_F_CLOSE_END_TIMESTAMP", {Counter::kCloseEnd}},
+    {"MPIIO_F_READ_START_TIMESTAMP", {Counter::kReadStart}},
+    {"MPIIO_F_READ_END_TIMESTAMP", {Counter::kReadEnd}},
+    {"MPIIO_F_WRITE_START_TIMESTAMP", {Counter::kWriteStart}},
+    {"MPIIO_F_WRITE_END_TIMESTAMP", {Counter::kWriteEnd}},
+    // STDIO.
+    {"STDIO_OPENS", {Counter::kOpens}},
+    {"STDIO_SEEKS", {Counter::kSeeks}},
+    {"STDIO_READS", {Counter::kReads}},
+    {"STDIO_WRITES", {Counter::kWrites}},
+    {"STDIO_BYTES_READ", {Counter::kBytesRead}},
+    {"STDIO_BYTES_WRITTEN", {Counter::kBytesWritten}},
+    {"STDIO_F_OPEN_START_TIMESTAMP", {Counter::kOpenStart}},
+    {"STDIO_F_CLOSE_END_TIMESTAMP", {Counter::kCloseEnd}},
+    {"STDIO_F_READ_START_TIMESTAMP", {Counter::kReadStart}},
+    {"STDIO_F_READ_END_TIMESTAMP", {Counter::kReadEnd}},
+    {"STDIO_F_WRITE_START_TIMESTAMP", {Counter::kWriteStart}},
+    {"STDIO_F_WRITE_END_TIMESTAMP", {Counter::kWriteEnd}},
+};
 
-void apply_counter(FileRecord& record, const CounterSpec& spec, double value) {
-  const auto as_u64 = [value] {
-    return value < 0.0 ? 0ull : static_cast<std::uint64_t>(value);
-  };
-  const auto set_or_add = [&](std::uint64_t& member) {
-    member = spec.additive ? member + as_u64() : as_u64();
+/// Records are keyed by (module, record id, rank): darshan emits one row per
+/// counter, and the same file appears once per instrumented API layer.
+struct RecordKey {
+  std::uint64_t id = 0;
+  std::int32_t rank = 0;
+  Module module = Module::kPosix;
+  bool operator==(const RecordKey&) const = default;
+};
+
+struct RecordKeyHash {
+  std::size_t operator()(const RecordKey& key) const noexcept {
+    const std::uint64_t rank_module =
+        static_cast<std::uint64_t>(static_cast<std::uint32_t>(key.rank)) << 8 |
+        static_cast<std::uint64_t>(key.module);
+    return std::hash<std::uint64_t>{}(key.id ^
+                                      rank_module * 0x9E3779B97F4A7C15ull);
+  }
+};
+
+/// Applies one counter row. Counts arrive as doubles; a count that is not
+/// finite or does not fit in 64 bits has no meaning as a count (and casting
+/// it is undefined behaviour), so it fails the row. Negative counts clamp to
+/// 0. Timestamps are stored as given.
+[[nodiscard]] bool apply_counter(FileRecord& record, const CounterSpec& spec,
+                                 double value) {
+  const auto set_count = [&](std::uint64_t& member) {
+    if (!std::isfinite(value) || value >= 0x1p64) return false;
+    const std::uint64_t count =
+        value < 0.0 ? 0 : static_cast<std::uint64_t>(value);
+    member = spec.additive ? member + count : count;
+    return true;
   };
   switch (spec.counter) {
-    case Counter::kOpens: set_or_add(record.opens); break;
-    case Counter::kCloses: set_or_add(record.closes); break;
-    case Counter::kSeeks: set_or_add(record.seeks); break;
-    case Counter::kReads: set_or_add(record.reads); break;
-    case Counter::kWrites: set_or_add(record.writes); break;
-    case Counter::kBytesRead: set_or_add(record.bytes_read); break;
-    case Counter::kBytesWritten: set_or_add(record.bytes_written); break;
+    case Counter::kOpens: return set_count(record.opens);
+    case Counter::kCloses: return set_count(record.closes);
+    case Counter::kSeeks: return set_count(record.seeks);
+    case Counter::kReads: return set_count(record.reads);
+    case Counter::kWrites: return set_count(record.writes);
+    case Counter::kBytesRead: return set_count(record.bytes_read);
+    case Counter::kBytesWritten: return set_count(record.bytes_written);
     case Counter::kOpenStart: record.open_ts = value; break;
     case Counter::kCloseEnd: record.close_ts = value; break;
     case Counter::kReadStart: record.first_read_ts = value; break;
@@ -118,6 +155,7 @@ void apply_counter(FileRecord& record, const CounterSpec& spec, double value) {
     case Counter::kWriteStart: record.first_write_ts = value; break;
     case Counter::kWriteEnd: record.last_write_ts = value; break;
   }
+  return true;
 }
 
 /// Parses a `# key: value` header line into the job metadata.
@@ -150,6 +188,11 @@ void apply_header(Trace& out, std::string_view key, std::string_view value) {
   }
 }
 
+Error row_error(std::size_t line_number, std::string_view what) {
+  return Error{ErrorCode::kParseError,
+               "line " + std::to_string(line_number) + ": " + std::string(what)};
+}
+
 }  // namespace
 
 Expected<Trace> parse_text(std::string_view text,
@@ -158,22 +201,40 @@ Expected<Trace> parse_text(std::string_view text,
   // lines (a line is tens of bytes, so this bounds overrun to ~100KB of
   // parsing past expiry).
   constexpr std::size_t kDeadlineCheckInterval = 4096;
+  // Only fields 0-5 are used (module .. file name); mount point and file
+  // system type are not split off.
+  constexpr std::size_t kMaxFields = 6;
+  // Never destroyed, so a worker still parsing while the process exits
+  // cannot see it torn down.
+  static const auto& counters =
+      *new std::unordered_map<std::string_view, CounterSpec>(
+          std::begin(kCounters), std::end(kCounters));
   Trace out;
-  // Records keyed by (module, record id, rank): darshan emits one row per
-  // counter, and the same file appears once per instrumented API layer.
-  std::map<std::tuple<std::string, std::uint64_t, std::int32_t>, std::size_t>
-      record_index;
-  // Remembered module of each parsed record (same order as out.files).
-  std::vector<std::string> record_module;
+  // Consulted only when a row leaves the previous row's record.
+  std::unordered_map<RecordKey, std::size_t, RecordKeyHash> record_index;
+  // Module of each parsed record (same order as out.files).
+  std::vector<Module> record_module;
+  // darshan-parser writes a record's counters one after another, so nearly
+  // every row belongs to the record the previous row touched. The pointer is
+  // re-taken after every insertion, so growing out.files never leaves it
+  // dangling.
+  RecordKey last_key;
+  FileRecord* last_record = nullptr;
+  bool any_mpiio = false;
 
+  const char* cursor = text.data();
+  const char* const text_end = cursor + text.size();
   std::size_t line_number = 0;
-  std::size_t cursor = 0;
-  while (cursor <= text.size()) {
-    const std::size_t eol = text.find('\n', cursor);
-    const std::string_view line =
-        text.substr(cursor, eol == std::string_view::npos ? std::string_view::npos
-                                                          : eol - cursor);
-    cursor = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
+  for (bool more = true; more;) {
+    const auto* newline =
+        cursor == text_end
+            ? nullptr
+            : static_cast<const char*>(std::memchr(
+                  cursor, '\n', static_cast<std::size_t>(text_end - cursor)));
+    more = newline != nullptr;
+    const char* const eol = more ? newline : text_end;
+    const char* c = cursor;
+    cursor = more ? newline + 1 : text_end;
     ++line_number;
     if (line_number % kDeadlineCheckInterval == 0 && deadline.expired()) {
       return Error{ErrorCode::kTimeout,
@@ -181,11 +242,12 @@ Expected<Trace> parse_text(std::string_view text,
                        std::to_string(line_number)};
     }
 
-    const std::string_view trimmed = util::trim(line);
-    if (trimmed.empty()) continue;
-
-    if (trimmed.front() == '#') {
-      const std::string_view body = util::trim(trimmed.substr(1));
+    using util::is_space;
+    while (c < eol && is_space(*c)) ++c;
+    if (c == eol) continue;
+    if (*c == '#') {
+      const std::string_view body = util::trim(
+          std::string_view(c + 1, static_cast<std::size_t>(eol - c - 1)));
       if (const auto colon = body.find(':'); colon != std::string_view::npos) {
         apply_header(out, util::trim(body.substr(0, colon)),
                      util::trim(body.substr(colon + 1)));
@@ -193,44 +255,48 @@ Expected<Trace> parse_text(std::string_view text,
       continue;
     }
 
-    const auto fields = util::split_whitespace(trimmed);
-    if (fields.size() < 5) {
-      return Error{ErrorCode::kParseError,
-                   "line " + std::to_string(line_number) +
-                       ": expected >=5 fields, got " +
-                       std::to_string(fields.size())};
+    std::string_view fields[kMaxFields];
+    std::size_t count = 0;
+    while (c < eol && count < kMaxFields) {
+      const char* start = c;
+      while (c < eol && !is_space(*c)) ++c;
+      fields[count++] = {start, static_cast<std::size_t>(c - start)};
+      while (c < eol && is_space(*c)) ++c;
     }
-    const std::string_view module = fields[0];
-    if (module != "POSIX" && module != "MPI-IO" && module != "MPIIO" &&
-        module != "STDIO") {
-      continue;  // LUSTRE, HEATMAP, ... are out of scope
+    if (count < 5) {
+      return row_error(line_number,
+                       "expected >=5 fields, got " + std::to_string(count));
     }
+    const std::optional<Module> module = module_of(fields[0]);
+    if (!module) continue;
 
     const auto rank = util::parse_int(fields[1]);
     const auto record_id = util::parse_uint(fields[2]);
     const auto value = util::parse_double(fields[4]);
     if (!rank || !record_id || !value) {
-      return Error{ErrorCode::kParseError,
-                   "line " + std::to_string(line_number) + ": bad numeric field"};
+      return row_error(line_number, "bad numeric field");
     }
-    const auto counter_it = counter_table().find(fields[3]);
-    if (counter_it == counter_table().end()) continue;  // tolerated counter
+    const auto spec = counters.find(fields[3]);
+    if (spec == counters.end()) continue;  // tolerated counter
 
-    // MPI-IO appears as "MPI-IO" in darshan-parser output; normalize.
-    const std::string module_key = module == "MPI-IO" ? "MPIIO"
-                                                      : std::string(module);
-    const auto key = std::make_tuple(module_key, *record_id,
-                                     static_cast<std::int32_t>(*rank));
-    auto [slot, inserted] = record_index.try_emplace(key, out.files.size());
-    if (inserted) {
-      FileRecord record;
-      record.file_id = *record_id;
-      record.rank = static_cast<std::int32_t>(*rank);
-      if (fields.size() >= 6) record.file_name = std::string(fields[5]);
-      out.files.push_back(std::move(record));
-      record_module.push_back(module_key);
+    const RecordKey key{*record_id, static_cast<std::int32_t>(*rank), *module};
+    if (last_record == nullptr || key != last_key) {
+      const auto [slot, inserted] =
+          record_index.try_emplace(key, out.files.size());
+      if (inserted) {
+        FileRecord& added = out.files.emplace_back();
+        added.file_id = key.id;
+        added.rank = key.rank;
+        if (count == kMaxFields) added.file_name = std::string(fields[5]);
+        record_module.push_back(key.module);
+        any_mpiio = any_mpiio || key.module == Module::kMpiio;
+      }
+      last_key = key;
+      last_record = &out.files[slot->second];
     }
-    apply_counter(out.files[slot->second], counter_it->second, *value);
+    if (!apply_counter(*last_record, spec->second, *value)) {
+      return row_error(line_number, "bad numeric field");
+    }
   }
 
   if (out.meta.run_time <= 0.0) {
@@ -241,25 +307,18 @@ Expected<Trace> parse_text(std::string_view text,
   // layer and once at the POSIX layer underneath. Keeping both would double
   // count every byte, so the higher-level MPI-IO record wins and the aliased
   // POSIX record is dropped. STDIO targets distinct streams and stays.
-  {
-    std::set<std::pair<std::uint64_t, std::int32_t>> mpiio_keys;
+  if (any_mpiio) {
+    std::vector<FileRecord> kept;
+    kept.reserve(out.files.size());
     for (std::size_t i = 0; i < out.files.size(); ++i) {
-      if (record_module[i] == "MPIIO") {
-        mpiio_keys.emplace(out.files[i].file_id, out.files[i].rank);
+      if (record_module[i] == Module::kPosix &&
+          record_index.contains({out.files[i].file_id, out.files[i].rank,
+                                 Module::kMpiio})) {
+        continue;
       }
+      kept.push_back(std::move(out.files[i]));
     }
-    if (!mpiio_keys.empty()) {
-      std::vector<FileRecord> kept;
-      kept.reserve(out.files.size());
-      for (std::size_t i = 0; i < out.files.size(); ++i) {
-        if (record_module[i] == "POSIX" &&
-            mpiio_keys.contains({out.files[i].file_id, out.files[i].rank})) {
-          continue;
-        }
-        kept.push_back(std::move(out.files[i]));
-      }
-      out.files = std::move(kept);
-    }
+    out.files = std::move(kept);
   }
 
   // Upstream darshan has no CLOSE counter; a clean record closes as often as
@@ -271,16 +330,12 @@ Expected<Trace> parse_text(std::string_view text,
 }
 
 Expected<Trace> read_text_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error{ErrorCode::kIoError, "cannot open " + path};
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Error{ErrorCode::kIoError, "read failure on " + path};
-  }
-  return parse_text(buffer.str());
+  // Parsed straight from the mapped pages, as read_mbt_file does.
+  auto mapped = util::MappedFile::open(path);
+  if (!mapped.has_value()) return std::move(mapped).error();
+  const auto bytes = mapped->bytes();
+  return parse_text(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
 }
 
 std::string to_text(const Trace& trace) {

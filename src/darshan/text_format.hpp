@@ -23,7 +23,10 @@ namespace mosaic::darshan {
 
 /// Parses a darshan-parser text document into a Trace.
 /// Unknown modules/counters are ignored; missing job header fields default
-/// (nprocs=1, run time required). Returns kParseError on malformed rows.
+/// (nprocs=1, run time required). Returns kParseError on malformed rows,
+/// including a count that is not finite or does not fit in 64 bits
+/// (negative counts clamp to 0). A counter row allocates only when it
+/// starts a new record.
 /// A finite `deadline` is checked every few thousand lines so a pathological
 /// multi-gigabyte document cannot wedge an ingest worker; expiry returns
 /// kTimeout.

@@ -25,23 +25,34 @@ Expected<util::MappedFile> FileReader::read_mapped(const std::string& path,
   return util::MappedFile::from_buffer(std::move(bytes).value());
 }
 
-Expected<util::MappedFile> SystemFileReader::read_mapped(
-    const std::string& path, int /*attempt*/) {
+namespace {
+
+/// Open failures are told apart only after the fact, so the common case
+/// (the file is there) costs no extra stat.
+Error open_failure(const std::string& path, Error error) {
   std::error_code ec;
   if (!fs::exists(path, ec)) {
     return Error{ErrorCode::kNotFound, path + " does not exist"};
   }
-  return util::MappedFile::open(path);
+  return error;
+}
+
+}  // namespace
+
+Expected<util::MappedFile> SystemFileReader::read_mapped(
+    const std::string& path, int /*attempt*/) {
+  auto mapped = util::MappedFile::open(path);
+  if (!mapped.has_value()) return open_failure(path, std::move(mapped).error());
+  return mapped;
 }
 
 Expected<std::vector<std::byte>> SystemFileReader::read(const std::string& path,
                                                         int /*attempt*/) {
-  std::error_code ec;
-  if (!fs::exists(path, ec)) {
-    return Error{ErrorCode::kNotFound, path + " does not exist"};
-  }
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Error{ErrorCode::kIoError, "cannot open " + path};
+  if (!in) {
+    return open_failure(path,
+                        Error{ErrorCode::kIoError, "cannot open " + path});
+  }
   const std::streamsize size = in.tellg();
   if (size < 0) return Error{ErrorCode::kIoError, "cannot stat " + path};
   in.seekg(0);

@@ -7,15 +7,6 @@
 
 namespace mosaic::util {
 
-namespace {
-
-bool is_space(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-
-}  // namespace
-
 std::string_view trim(std::string_view text) noexcept {
   std::size_t begin = 0;
   std::size_t end = text.size();

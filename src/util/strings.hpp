@@ -10,6 +10,13 @@
 
 namespace mosaic::util {
 
+/// True for the ASCII whitespace that trim strips and split_whitespace
+/// splits on. Inline: the darshan text parser calls it once per byte.
+[[nodiscard]] constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
+
 /// Removes leading and trailing ASCII whitespace.
 [[nodiscard]] std::string_view trim(std::string_view text) noexcept;
 

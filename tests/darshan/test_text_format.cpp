@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+
+#include "util/deadline.hpp"
 
 namespace mosaic::darshan {
 namespace {
@@ -212,6 +215,178 @@ TEST(TextFormat, MissingFileReportsIoError) {
   const auto result = read_text_file("/nonexistent/path/file.txt");
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, util::ErrorCode::kIoError);
+}
+
+TEST(TextFormat, CrlfLineEndingsParse) {
+  const std::string text =
+      "# exe: /bin/app --flag\r\n"
+      "# run time: 20\r\n"
+      "\r\n"
+      "POSIX\t0\t5\tPOSIX_OPENS\t2\t/f\t/scr\tlustre\r\n"
+      "POSIX\t0\t5\tPOSIX_BYTES_READ\t4096\t/f\t/scr\tlustre\r\n";
+  const auto parsed = parse_text(text);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->meta.app_name, "app");
+  EXPECT_DOUBLE_EQ(parsed->meta.run_time, 20.0);
+  ASSERT_EQ(parsed->files.size(), 1u);
+  EXPECT_EQ(parsed->files[0].file_name, "/f");
+  EXPECT_EQ(parsed->files[0].opens, 2u);
+  EXPECT_EQ(parsed->files[0].bytes_read, 4096u);
+}
+
+TEST(TextFormat, RecordRowsResumeAfterAnotherRecord) {
+  // Rows of record 1, then record 2, then record 1 again: the third block
+  // must land on the first record, not start a new one.
+  const std::string text =
+      "# run time: 30\n"
+      "POSIX\t0\t1\tPOSIX_OPENS\t3\t/a\n"
+      "POSIX\t0\t1\tPOSIX_READS\t7\t/a\n"
+      "POSIX\t0\t2\tPOSIX_OPENS\t1\t/b\n"
+      "POSIX\t0\t2\tPOSIX_WRITES\t9\t/b\n"
+      "POSIX\t0\t1\tPOSIX_BYTES_READ\t700\t/a\n"
+      "POSIX\t0\t2\tPOSIX_BYTES_WRITTEN\t900\t/b\n";
+  const auto parsed = parse_text(text);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->files.size(), 2u);
+  const auto& a = parsed->files[0];
+  EXPECT_EQ(a.file_id, 1u);
+  EXPECT_EQ(a.opens, 3u);
+  EXPECT_EQ(a.reads, 7u);
+  EXPECT_EQ(a.bytes_read, 700u);
+  const auto& b = parsed->files[1];
+  EXPECT_EQ(b.file_id, 2u);
+  EXPECT_EQ(b.writes, 9u);
+  EXPECT_EQ(b.bytes_written, 900u);
+}
+
+TEST(TextFormat, BothMpiioSpellingsAreOneModule) {
+  // "MPI-IO" (darshan-parser) and "MPIIO" rows for the same record id and
+  // rank fill one record, and either spelling drops the aliased POSIX
+  // record.
+  const std::string text =
+      "# run time: 40\n"
+      "POSIX\t2\t11\tPOSIX_OPENS\t5\t/x\n"
+      "MPI-IO\t2\t11\tMPIIO_INDEP_OPENS\t1\t/x\n"
+      "MPIIO\t2\t11\tMPIIO_COLL_OPENS\t2\t/x\n"
+      "POSIX\t3\t12\tPOSIX_OPENS\t6\t/y\n"
+      "MPIIO\t3\t12\tMPIIO_BYTES_READ\t64\t/y\n"
+      "POSIX\t3\t13\tPOSIX_OPENS\t1\t/z\n";
+  const auto parsed = parse_text(text);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->files.size(), 3u);
+  EXPECT_EQ(parsed->files[0].file_id, 11u);
+  EXPECT_EQ(parsed->files[0].opens, 3u);  // 1 + 2 across both spellings
+  EXPECT_EQ(parsed->files[1].file_id, 12u);
+  EXPECT_EQ(parsed->files[1].bytes_read, 64u);
+  EXPECT_EQ(parsed->files[2].file_id, 13u);  // no MPI-IO view: kept
+}
+
+TEST(TextFormat, MpiioIndependentAndCollectiveCountsAdd) {
+  const std::string text =
+      "# run time: 10\n"
+      "MPI-IO\t-1\t8\tMPIIO_INDEP_READS\t3\t/d\n"
+      "MPI-IO\t-1\t8\tMPIIO_COLL_READS\t4\t/d\n"
+      "MPI-IO\t-1\t8\tMPIIO_INDEP_WRITES\t10\t/d\n"
+      "MPI-IO\t-1\t8\tMPIIO_COLL_WRITES\t20\t/d\n"
+      "MPI-IO\t-1\t8\tMPIIO_BYTES_READ\t5\t/d\n"
+      "MPI-IO\t-1\t8\tMPIIO_BYTES_READ\t6\t/d\n";
+  const auto parsed = parse_text(text);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->files.size(), 1u);
+  EXPECT_EQ(parsed->files[0].reads, 7u);
+  EXPECT_EQ(parsed->files[0].writes, 30u);
+  EXPECT_EQ(parsed->files[0].bytes_read, 6u);  // not additive: last wins
+}
+
+TEST(TextFormat, UnknownModulesAndCountersAreSkipped) {
+  // An unknown module is skipped before its numbers are read; an unknown
+  // counter creates no record.
+  const std::string text =
+      "# run time: 10\n"
+      "LUSTRE\tx\ty\tLUSTRE_OSTS\tz\t/f\n"
+      "HEATMAP\t0\t1\tHEATMAP_READ_BIN_0\t3\n"
+      "POSIX\t0\t77\tPOSIX_FSYNCS\t4\t/ignored\n"
+      "POSIX\t0\t78\tPOSIX_OPENS\t1\t/kept\n";
+  const auto parsed = parse_text(text);
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->files.size(), 1u);
+  EXPECT_EQ(parsed->files[0].file_id, 78u);
+  EXPECT_EQ(parsed->files[0].file_name, "/kept");
+}
+
+TEST(TextFormat, SharedRankMinusOneParses) {
+  const auto parsed =
+      parse_text("# run time: 10\nPOSIX\t-1\t4\tPOSIX_OPENS\t1\t/f\n");
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->files.size(), 1u);
+  EXPECT_EQ(parsed->files[0].rank, -1);
+  EXPECT_EQ(parsed->files[0].rank, trace::kSharedRank);
+}
+
+TEST(TextFormat, ExtraFieldsKeepTheSixthAsFileName) {
+  const auto parsed = parse_text(
+      "# run time: 10\n"
+      "POSIX 0 4 POSIX_OPENS 1 /scratch/f.dat /scratch lustre extra more\n"
+      "POSIX\t0\t5\tPOSIX_OPENS\t1\n");
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  ASSERT_EQ(parsed->files.size(), 2u);
+  EXPECT_EQ(parsed->files[0].file_name, "/scratch/f.dat");
+  EXPECT_EQ(parsed->files[1].file_name, "");  // five fields: no name
+}
+
+TEST(TextFormat, RowErrorsNameTheLine) {
+  const auto short_row = parse_text(
+      "# run time: 10\n\nPOSIX\t0\t1\tPOSIX_OPENS\t1\t/f\n  POSIX\t-1\t5  \n");
+  ASSERT_FALSE(short_row.has_value());
+  EXPECT_EQ(short_row.error().code, util::ErrorCode::kParseError);
+  EXPECT_EQ(short_row.error().message, "line 4: expected >=5 fields, got 3");
+
+  const auto bad_number = parse_text(
+      "# run time: 10\nPOSIX\t0\t1\tPOSIX_OPENS\t1.5x\t/f\n");
+  ASSERT_FALSE(bad_number.has_value());
+  EXPECT_EQ(bad_number.error().code, util::ErrorCode::kParseError);
+  EXPECT_EQ(bad_number.error().message, "line 2: bad numeric field");
+
+  // Numbers are checked before the counter name, so an unknown counter
+  // with a bad rank still fails.
+  const auto bad_rank =
+      parse_text("# run time: 10\n\n\nPOSIX\t+1\t1\tPOSIX_NOPE\t1\n");
+  ASSERT_FALSE(bad_rank.has_value());
+  EXPECT_EQ(bad_rank.error().message, "line 4: bad numeric field");
+}
+
+TEST(TextFormat, NonRepresentableCountsFail) {
+  // A count that is not finite or does not fit in 64 bits cannot be cast to
+  // an integer count; it fails the row instead.
+  for (const std::string value : {"inf", "-inf", "nan", "1e300", "18446744073709551616"}) {
+    const auto parsed = parse_text("# run time: 10\nPOSIX\t0\t1\tPOSIX_BYTES_READ\t" +
+                                   value + "\t/f\n");
+    ASSERT_FALSE(parsed.has_value()) << value;
+    EXPECT_EQ(parsed.error().code, util::ErrorCode::kParseError) << value;
+    EXPECT_EQ(parsed.error().message, "line 2: bad numeric field") << value;
+  }
+  // Negative counts still clamp to zero, and timestamps are not counts.
+  const auto parsed = parse_text(
+      "# run time: 10\n"
+      "POSIX\t0\t1\tPOSIX_READS\t-5\t/f\n"
+      "POSIX\t0\t1\tPOSIX_BYTES_READ\t1e19\t/f\n"
+      "POSIX\t0\t1\tPOSIX_F_READ_END_TIMESTAMP\t1e300\t/f\n");
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->files[0].reads, 0u);
+  EXPECT_EQ(parsed->files[0].bytes_read, 10000000000000000000u);
+  EXPECT_DOUBLE_EQ(parsed->files[0].last_read_ts, 1e300);
+}
+
+TEST(TextFormat, ExpiredDeadlineStopsALongDocument) {
+  std::string text = "# run time: 10\n";
+  for (int row = 0; row < 5000; ++row) {
+    text += "POSIX\t0\t" + std::to_string(row) + "\tPOSIX_OPENS\t1\t/f\n";
+  }
+  ASSERT_TRUE(parse_text(text).has_value());
+  const auto parsed = parse_text(text, util::Deadline::after_seconds(0.0));
+  ASSERT_FALSE(parsed.has_value());
+  EXPECT_EQ(parsed.error().code, util::ErrorCode::kTimeout);
+  EXPECT_EQ(parsed.error().message, "parse deadline exceeded at line 4096");
 }
 
 }  // namespace

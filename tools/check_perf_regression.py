@@ -22,6 +22,12 @@ against the committed baseline and fails (exit 1) when either
     ±--max-profiler-off-pct (default 3%) — the disabled hook is one relaxed
     atomic load per frame, so any off-cost beyond harness noise is a bug.
     Skipped when the current file has no "profiler" section, or
+  * the darshan-parser text reader started allocating per row:
+    text_parse.allocations_per_row grew more than 10% plus a
+    0.05-allocation slack over the baseline (a row-level allocation adds at
+    least 1). Skipped unless both files carry counted "text_parse"
+    results. text_parse.mb_per_second is printed but not gated: its
+    run-to-run spread on one host is wider than any useful bound, or
   * a SIMD kernel regressed: for every kernel in the "kernels" section of
     both files, dispatched cycles/byte must not exceed the baseline by more
     than --max-kernel-regression-pct (default 35%; TSC micro-timings are
@@ -52,6 +58,11 @@ Usage:
 import argparse
 import json
 import sys
+
+# text_parse.allocations_per_row budget: relative growth plus an absolute
+# slack, both far below the 1 allocation a per-row regression adds.
+TEXT_ALLOC_INCREASE_PCT = 10.0
+TEXT_ALLOC_SLACK = 0.05
 
 
 def load(path):
@@ -149,6 +160,30 @@ def main():
             )
     else:
         print("profiler overhead: no profiler section, skipping")
+
+    base_text = baseline.get("text_parse")
+    cur_text = current.get("text_parse")
+    if cur_text is not None:
+        print(f"text parse: {float(cur_text.get('mb_per_second', 0.0)):.1f} "
+              "MB/s (reported, not gated)")
+    if (base_text is not None and cur_text is not None
+            and base_text.get("counted") and cur_text.get("counted")):
+        base_per = float(base_text.get("allocations_per_row", 0.0))
+        cur_per = float(cur_text.get("allocations_per_row", 0.0))
+        budget = (base_per * (1.0 + TEXT_ALLOC_INCREASE_PCT / 100.0)
+                  + TEXT_ALLOC_SLACK)
+        print(
+            f"text parse allocations/row: baseline {base_per:.3f}, "
+            f"current {cur_per:.3f} (budget {budget:.3f})"
+        )
+        if cur_per > budget:
+            failures.append(
+                f"text parse allocations per row grew to {cur_per:.3f} "
+                f"(budget {budget:.3f})"
+            )
+    else:
+        print("text parse allocations/row: not counted on both sides, "
+              "skipping")
 
     base_kernels = baseline.get("kernels", {})
     cur_kernels = current.get("kernels", {})
