@@ -24,6 +24,7 @@
 #include <x86intrin.h>
 #endif
 
+#include "cluster/meanshift.hpp"
 #include "core/merge.hpp"
 #include "core/pipeline.hpp"
 #include "core/segmentation.hpp"
@@ -37,6 +38,7 @@
 #include "obs/span.hpp"
 #include "sim/population.hpp"
 #include "util/fs.hpp"
+#include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/stopwatch.hpp"
 
@@ -699,6 +701,54 @@ std::vector<KernelCounter> measure_kernel_counters() {
   return counters;
 }
 
+/// Mean-Shift's neighbour loop (DESIGN.md §12) on the shape that dominates
+/// analysis time: a checkpoint-style trace whose ~185 scaled (duration,
+/// volume) segments all fall into one grid cell, so each shift iteration
+/// of each point visits every point of the set.
+struct MeanShiftKernelResult {
+  std::size_t points = 0;
+  double iterations_per_point = 0.0;
+  std::uint64_t neighbor_visits = 0;   ///< per clustering pass
+  double ns_per_neighbor_visit = 0.0;  ///< fastest pass / visits
+  double points_per_second = 0.0;      ///< fastest pass
+};
+
+MeanShiftKernelResult measure_meanshift_kernel() {
+  constexpr std::size_t kPoints = 185;
+  // Near-equal segment lengths (the x spread) and volumes (y), well inside
+  // one 0.12-wide cell of the detector's default bandwidth.
+  util::Rng rng(185);
+  cluster::PointSet points(2);
+  for (std::size_t i = 0; i < kPoints; ++i) {
+    const double p[2] = {0.05 * rng.uniform(), 0.01 * rng.uniform()};
+    points.add(p);
+  }
+  const cluster::MeanShiftConfig config;
+  cluster::MeanShiftWorkspace workspace;
+  cluster::MeanShiftResult clusters;
+  cluster::mean_shift(points, config, workspace, clusters);  // warm-up
+
+  constexpr int kReps = 2000;
+  double best = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kReps; ++rep) {
+    const util::Stopwatch watch;
+    cluster::mean_shift(points, config, workspace, clusters);
+    best = std::min(best, watch.elapsed_seconds());
+  }
+  MeanShiftKernelResult result;
+  result.points = kPoints;
+  result.iterations_per_point = static_cast<double>(clusters.total_iterations) /
+                                static_cast<double>(kPoints);
+  // One cell: every iteration of every point visits all kPoints points.
+  result.neighbor_visits = clusters.total_iterations * kPoints;
+  if (best > 0.0) {
+    result.ns_per_neighbor_visit =
+        best * 1e9 / static_cast<double>(result.neighbor_visits);
+    result.points_per_second = static_cast<double>(kPoints) / best;
+  }
+  return result;
+}
+
 /// Mean latency of a stage histogram in the snapshot, or 0 if never hit.
 double stage_mean_ms(const obs::Snapshot& snapshot, std::string_view name) {
   for (const obs::HistogramSample& sample : snapshot.histograms) {
@@ -725,6 +775,7 @@ void write_bench_json(const OverheadResult& overhead,
                       const AllocationResult& allocations,
                       const TextParseResult& text_parse,
                       const std::vector<KernelCounter>& kernels,
+                      const MeanShiftKernelResult& meanshift,
                       const std::string& path) {
   const obs::Snapshot snapshot = obs::Registry::global().snapshot();
 
@@ -797,6 +848,13 @@ void write_bench_json(const OverheadResult& overhead,
     entry.set("bytes_per_pass", kernel.bytes_per_pass);
     kernel_section.set(kernel.name, std::move(entry));
   }
+  json::Object meanshift_entry;
+  meanshift_entry.set("points", meanshift.points);
+  meanshift_entry.set("iterations_per_point", meanshift.iterations_per_point);
+  meanshift_entry.set("neighbor_visits", meanshift.neighbor_visits);
+  meanshift_entry.set("ns_per_neighbor_visit", meanshift.ns_per_neighbor_visit);
+  meanshift_entry.set("points_per_second", meanshift.points_per_second);
+  kernel_section.set("meanshift", std::move(meanshift_entry));
   out.set("kernels", std::move(kernel_section));
 
   if (const auto status =
@@ -833,8 +891,9 @@ int main(int argc, char** argv) {
   const AllocationResult allocations = measure_allocations_per_trace();
   const TextParseResult text_parse = measure_text_parse();
   const std::vector<KernelCounter> kernels = measure_kernel_counters();
+  const MeanShiftKernelResult meanshift = measure_meanshift_kernel();
   write_bench_json(overhead, profiler, allocations, text_parse, kernels,
-                   "BENCH_perf_pipeline.json");
+                   meanshift, "BENCH_perf_pipeline.json");
   benchmark::Shutdown();
   return 0;
 }

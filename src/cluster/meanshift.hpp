@@ -21,8 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "util/error.hpp"
-
 namespace mosaic::cluster {
 
 /// Kernel used to weight neighbors during the shift step.
@@ -97,7 +95,9 @@ class PointSet {
 /// Cell coordinates come from floor(p[d] / cell), which is exact for
 /// negative coordinates too; keys are zigzag-packed so negative cells hash
 /// without wrap-around, and lookups compare the full coordinate tuple, never
-/// just the hash. All storage is reused across build() calls.
+/// just the hash. The CSR lists hold copies of the points' coordinates, so a
+/// query reads a cell's points as one contiguous row-major run. All storage
+/// is reused across build() calls.
 class GridIndex {
  public:
   /// Dimensionality ceiling of the stack-allocated cell-probe buffers.
@@ -106,20 +106,19 @@ class GridIndex {
   GridIndex() = default;
 
   /// (Re)builds the index over `points` with the given cell size (clamped to
-  /// a small positive minimum). `points` must outlive the index; existing
-  /// hash and CSR storage is reused. Precondition: points.dim() <= kMaxDim.
+  /// a small positive minimum). The points are copied, so `points` need not
+  /// outlive the index; existing hash and CSR storage is reused.
+  /// Precondition: points.dim() <= kMaxDim.
   void build(const PointSet& points, double cell);
 
-  /// Invokes `fn(index)` for every point within `radius` of `center`, in
-  /// cell-probe order (odometer over the 3^dim ring, first dimension
-  /// fastest) and ascending point index within a cell — a deterministic
-  /// order independent of hash layout. Precondition: radius <= cell size
-  /// used at build().
+  /// Invokes `fn(coords)` for every non-empty cell of the 3^dim ring around
+  /// `center`, in cell-probe order (odometer over the ring, first dimension
+  /// fastest). `coords` holds the cell's points row-major, dim() values
+  /// each, in ascending point index — a deterministic order independent of
+  /// hash layout. Every point within the build's cell size of `center` lies
+  /// in one of the visited cells; filtering by distance is the caller's.
   template <typename Fn>
-  void for_neighbors(std::span<const double> center, double radius,
-                     Fn&& fn) const {
-    MOSAIC_ASSERT(radius <= cell_ * (1.0 + 1e-9));
-    const double r2 = radius * radius;
+  void for_cells_around(std::span<const double> center, Fn&& fn) const {
     const std::size_t dim = dim_;
     std::int64_t base[kMaxDim];
     std::int64_t probe[kMaxDim];
@@ -133,11 +132,10 @@ class GridIndex {
       for (std::size_t d = 0; d < dim; ++d) probe[d] = base[d] + offset[d];
       if (const std::uint32_t cell = find_cell({probe, dim});
           cell != kNoCell) {
-        for (std::uint32_t s = cell_start_[cell]; s < cell_start_[cell + 1];
-             ++s) {
-          const std::size_t i = cell_points_[s];
-          if (squared_distance(points_->point(i), center) <= r2) fn(i);
-        }
+        const std::uint32_t begin = cell_start_[cell];
+        const std::uint32_t count = cell_start_[cell + 1] - begin;
+        fn(std::span<const double>{point_coords_.data() + begin * dim,
+                                   count * dim});
       }
       std::size_t d = 0;
       while (d < dim && ++offset[d] > 1) {
@@ -159,7 +157,6 @@ class GridIndex {
   [[nodiscard]] std::uint32_t find_cell(
       std::span<const std::int64_t> coords) const noexcept;
 
-  const PointSet* points_ = nullptr;
   double cell_ = 1.0;
   std::size_t dim_ = 0;
   std::size_t mask_ = 0;                    ///< slot count - 1 (power of two)
@@ -167,20 +164,18 @@ class GridIndex {
   std::vector<std::uint64_t> cell_key_;     ///< packed key per cell
   std::vector<std::int64_t> cell_coords_;   ///< dim coords per cell
   std::vector<std::uint32_t> cell_start_;   ///< CSR offsets (cells + 1)
-  std::vector<std::uint32_t> cell_points_;  ///< CSR point indices
+  std::vector<double> point_coords_;        ///< CSR point coordinates
   std::vector<std::uint32_t> point_cell_;   ///< build scratch: cell per point
 };
 
 /// Reusable scratch for mean_shift(): the grid index plus the per-point
-/// shift, label and mode-merge buffers. One instance per worker thread;
-/// after the first few traces every buffer has reached its high-water
-/// capacity and mean_shift() stops allocating (DESIGN.md §12). Contents are
-/// an implementation detail of mean_shift().
+/// converged-position, label and mode-merge buffers. One instance per worker
+/// thread; after the first few traces every buffer has reached its
+/// high-water capacity and mean_shift() stops allocating (DESIGN.md §12).
+/// Contents are an implementation detail of mean_shift().
 struct MeanShiftWorkspace {
   GridIndex grid;                     ///< neighbor index, storage reused
   std::vector<double> converged;      ///< n*dim converged position per point
-  std::vector<double> current;        ///< dim: position being shifted
-  std::vector<double> next;           ///< dim: weighted neighbor mean
   std::vector<double> modes;          ///< flat m*dim merged mode buffer
   std::vector<std::size_t> raw_label; ///< first-seen mode per point
   std::vector<std::size_t> sizes;     ///< points per raw mode

@@ -382,6 +382,48 @@ TraceResult Analyzer::analyze_impl(const trace::Trace& trace,
   return result;
 }
 
+namespace {
+
+/// The one analysis loop behind every population entry point: takes the
+/// funnel bookkeeping out of `pre` and categorizes *retained[i] into
+/// results[i], on `pool` when given. Results keep the input order either
+/// way. `pre.retained` is left alone; `retained` may point into it.
+BatchResult analyze_retained(PreprocessResult& pre,
+                             std::span<const trace::Trace* const> retained,
+                             const Thresholds& thresholds,
+                             parallel::ThreadPool* pool) {
+  BatchResult batch;
+  batch.preprocess = std::move(pre.stats);
+  batch.runs_per_app = std::move(pre.runs_per_app);
+
+  const Analyzer analyzer(thresholds);
+  batch.results.resize(retained.size());
+  if (pool != nullptr) {
+    // One workspace per pool worker: parallel_for chunks only ever run on
+    // pool threads, so worker_index() selects a private workspace with no
+    // synchronization, and each worker's buffers reach their high-water
+    // capacity after a handful of traces.
+    std::vector<AnalyzerWorkspace> workspaces(pool->thread_count());
+    parallel::parallel_for(
+        *pool, retained.size(), [&](std::size_t begin, std::size_t end) {
+          const std::size_t worker = parallel::ThreadPool::worker_index();
+          MOSAIC_ASSERT(worker < workspaces.size());
+          AnalyzerWorkspace& workspace = workspaces[worker];
+          for (std::size_t i = begin; i < end; ++i) {
+            batch.results[i] = analyzer.analyze(*retained[i], workspace);
+          }
+        });
+  } else {
+    AnalyzerWorkspace workspace;
+    for (std::size_t i = 0; i < retained.size(); ++i) {
+      batch.results[i] = analyzer.analyze(*retained[i], workspace);
+    }
+  }
+  return batch;
+}
+
+}  // namespace
+
 BatchResult analyze_population(std::vector<trace::Trace> traces,
                                const Thresholds& thresholds,
                                parallel::ThreadPool* pool) {
@@ -391,40 +433,18 @@ BatchResult analyze_population(std::vector<trace::Trace> traces,
 BatchResult analyze_population(std::span<const trace::Trace> traces,
                                const Thresholds& thresholds,
                                parallel::ThreadPool* pool) {
-  return analyze_preprocessed(preprocess(traces), thresholds, pool);
+  std::vector<const trace::Trace*> winners;
+  PreprocessResult pre = preprocess(traces, winners);
+  return analyze_retained(pre, winners, thresholds, pool);
 }
 
 BatchResult analyze_preprocessed(PreprocessResult pre,
                                  const Thresholds& thresholds,
                                  parallel::ThreadPool* pool) {
-  BatchResult batch;
-  batch.preprocess = pre.stats;
-  batch.runs_per_app = std::move(pre.runs_per_app);
-
-  const Analyzer analyzer(thresholds);
-  batch.results.resize(pre.retained.size());
-  if (pool != nullptr) {
-    // One workspace per pool worker: parallel_for chunks only ever run on
-    // pool threads, so worker_index() selects a private workspace with no
-    // synchronization, and each worker's buffers reach their high-water
-    // capacity after a handful of traces.
-    std::vector<AnalyzerWorkspace> workspaces(pool->thread_count());
-    parallel::parallel_for(
-        *pool, pre.retained.size(), [&](std::size_t begin, std::size_t end) {
-          const std::size_t worker = parallel::ThreadPool::worker_index();
-          MOSAIC_ASSERT(worker < workspaces.size());
-          AnalyzerWorkspace& workspace = workspaces[worker];
-          for (std::size_t i = begin; i < end; ++i) {
-            batch.results[i] = analyzer.analyze(pre.retained[i], workspace);
-          }
-        });
-  } else {
-    AnalyzerWorkspace workspace;
-    for (std::size_t i = 0; i < pre.retained.size(); ++i) {
-      batch.results[i] = analyzer.analyze(pre.retained[i], workspace);
-    }
-  }
-  return batch;
+  std::vector<const trace::Trace*> retained;
+  retained.reserve(pre.retained.size());
+  for (const trace::Trace& trace : pre.retained) retained.push_back(&trace);
+  return analyze_retained(pre, retained, thresholds, pool);
 }
 
 }  // namespace mosaic::core

@@ -165,9 +165,9 @@ struct BatchResult {
 
 /// Non-consuming variant for callers that keep the population alive
 /// (repeated analyses over one corpus, benchmarks, cached serving): the
-/// funnel runs by reference and only the dedup winners — typically a small
-/// fraction of the input — are copied into analyzer-owned storage. Produces
-/// byte-identical results to the consuming overload.
+/// funnel runs by reference and the dedup winners are analyzed where they
+/// lie in `traces`, with no trace copied. Produces byte-identical results
+/// to the consuming overload.
 [[nodiscard]] BatchResult analyze_population(
     std::span<const trace::Trace> traces, const Thresholds& thresholds = {},
     parallel::ThreadPool* pool = nullptr);

@@ -56,13 +56,13 @@ bool count_validity(const trace::ValidityReport& report,
   return true;
 }
 
-/// The body of both preprocess() overloads; `take(i)` moves or copies
-/// traces[i] into the result. Retained traces keep the input order.
-template <typename Take>
-PreprocessResult preprocess_traces(std::span<const trace::Trace> traces,
-                                   double validity_slack_seconds,
-                                   const Take& take) {
-  PreprocessResult result;
+/// The body of every one-shot funnel: validates and deduplicates `traces`
+/// into `result` and appends `take(i)` to `retained` for each retained
+/// traces[i], in input order. `take` moves, copies or points at the trace.
+template <typename Retained, typename Take>
+void preprocess_traces(std::span<const trace::Trace> traces,
+                       double validity_slack_seconds, PreprocessResult& result,
+                       std::vector<Retained>& retained, const Take& take) {
   result.stats.input_traces = traces.size();
   // The winner is a pointer into `traces` plus its cached byte total, so
   // duplicates compare without rescanning the incumbent's file list.
@@ -93,14 +93,13 @@ PreprocessResult preprocess_traces(std::span<const trace::Trace> traces,
     result.runs_per_app.emplace_hint(result.runs_per_app.end(), app_key,
                                      slot.runs);
   }
-  result.retained.reserve(ledger.size());
+  retained.reserve(ledger.size());
   for (std::size_t i = 0; i < traces.size(); ++i) {
-    if (keep[i]) result.retained.push_back(take(i));
+    if (keep[i]) retained.push_back(take(i));
   }
   result.retained_paths.assign(result.retained.size(), std::string());
   result.stats.unique_applications = ledger.size();
-  result.stats.retained = result.retained.size();
-  return result;
+  result.stats.retained = ledger.size();
 }
 
 }  // namespace
@@ -121,18 +120,32 @@ bool outranks(const DedupRank& challenger,
 
 PreprocessResult preprocess(std::vector<trace::Trace> traces,
                             double validity_slack_seconds) {
-  return preprocess_traces(traces, validity_slack_seconds,
-                           [&](std::size_t i) -> trace::Trace&& {
-                             return std::move(traces[i]);
-                           });
+  PreprocessResult result;
+  preprocess_traces(traces, validity_slack_seconds, result, result.retained,
+                    [&](std::size_t i) -> trace::Trace&& {
+                      return std::move(traces[i]);
+                    });
+  return result;
 }
 
 PreprocessResult preprocess(std::span<const trace::Trace> traces,
                             double validity_slack_seconds) {
-  return preprocess_traces(traces, validity_slack_seconds,
-                           [&](std::size_t i) -> const trace::Trace& {
-                             return traces[i];
-                           });
+  PreprocessResult result;
+  preprocess_traces(traces, validity_slack_seconds, result, result.retained,
+                    [&](std::size_t i) -> const trace::Trace& {
+                      return traces[i];
+                    });
+  return result;
+}
+
+PreprocessResult preprocess(std::span<const trace::Trace> traces,
+                            std::vector<const trace::Trace*>& winners,
+                            double validity_slack_seconds) {
+  PreprocessResult result;
+  winners.clear();
+  preprocess_traces(traces, validity_slack_seconds, result, winners,
+                    [&](std::size_t i) { return &traces[i]; });
+  return result;
 }
 
 trace::ValidityReport StreamingPreprocessor::add_trace(

@@ -16,7 +16,8 @@
 // retained run never depends on arrival order. Every driver folds through
 // it:
 //   - preprocess(): one-shot over in-memory traces (tests, library use);
-//     retained traces keep the input order;
+//     retained traces keep the input order. Its overloads move, copy or
+//     point at the winners; all three share one funnel body;
 //   - StreamingPreprocessor: incremental folding for the fault-tolerant
 //     ingest path, which streams files through a bounded window and also
 //     counts loads that failed before validation (io-error, parse-error, …)
@@ -130,14 +131,24 @@ class DedupLedger {
 [[nodiscard]] PreprocessResult preprocess(std::vector<trace::Trace> traces,
                                           double validity_slack_seconds = 1.0);
 
-/// Non-consuming variant: validates and deduplicates by reference, copying
-/// only the retained winners (typically a small fraction of the input — Blue
-/// Waters 2019: 8% of valid traces). Produces the exact same result as the
-/// consuming overload on the same input. Use this when the caller keeps the
-/// population alive (repeated analyses, serving cached populations): it
-/// avoids deep-copying the evicted majority just to throw it away.
+/// Non-consuming variant: validates and deduplicates by reference, then
+/// copies the retained winners into the result (Blue Waters 2019: 8% of
+/// valid traces; nearly all of them in a population of one-run
+/// applications). Produces the exact same result as the consuming overload
+/// on the same input. Callers that only read the winners once should use
+/// the overload below, which copies nothing.
 [[nodiscard]] PreprocessResult preprocess(std::span<const trace::Trace> traces,
                                           double validity_slack_seconds = 1.0);
+
+/// In-place variant: the same funnel, copying no trace. `winners` is
+/// replaced by one pointer into `traces` per retained trace — the traces,
+/// in the order, that the overloads above retain — and the result's
+/// `retained` and `retained_paths` stay empty. The pointers are valid while
+/// `traces` is. analyze_population(span) analyzes the winners through it.
+[[nodiscard]] PreprocessResult preprocess(
+    std::span<const trace::Trace> traces,
+    std::vector<const trace::Trace*>& winners,
+    double validity_slack_seconds = 1.0);
 
 /// Incremental validity + dedup folding with O(unique applications) state.
 ///

@@ -28,6 +28,24 @@ cleanup() {
   rm -rf "$WORK"
 }
 trap cleanup EXIT
+# Any other failing command (a diff, a `[ ... ]` test) names itself too
+# instead of ending the script silently under `set -e`.
+set -E
+trap 'echo "cli_dispatch.sh: line $LINENO: failed: $BASH_COMMAND" >&2' ERR
+
+# Fails the script unless <file> has a line matching <pattern>, naming the
+# step and showing the end of the file it searched. Extra arguments go to
+# grep (e.g. -E). Usage: expect_match <file> <pattern> [grep flags...]
+expect_match() {
+  local file="$1" pattern="$2"
+  shift 2
+  if ! grep -q "$@" -e "$pattern" "$file" 2> /dev/null; then
+    echo "cli_dispatch.sh: line ${BASH_LINENO[0]}: no line matching" \
+        "'$pattern' in $file; its last lines:" >&2
+    tail -n 20 "$file" >&2 2> /dev/null || echo "($file does not exist)" >&2
+    exit 1
+  fi
+}
 
 # Starts a worker on an ephemeral port and echoes the scraped port number.
 # Usage: start_worker <logfile> [extra worker flags...]
@@ -38,8 +56,12 @@ start_worker() {
   echo "$!" >> "$WORKER_PIDS"
   local port=""
   for _ in $(seq 1 100); do
-    port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")"
-    [ -n "$port" ] && break
+    # The backgrounded worker creates its log; until it has, there is
+    # nothing to read.
+    if [ -e "$log" ]; then
+      port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "$log")"
+      [ -n "$port" ] && break
+    fi
     sleep 0.1
   done
   if [ -z "$port" ]; then
@@ -61,8 +83,8 @@ P2="$(start_worker "$WORK/w2.log")"
     --shards 4 --partials "$WORK/parts" --json "$WORK/dist.json" \
     > "$WORK/dispatch.txt"
 diff "$WORK/single.json" "$WORK/dist.json"
-grep -q 'shard 0: done' "$WORK/dispatch.txt"
-grep -q 'funnel:' "$WORK/dispatch.txt"
+expect_match "$WORK/dispatch.txt" 'shard 0: done'
+expect_match "$WORK/dispatch.txt" 'funnel:'
 
 # Fleet observability: one worker stalls 2.5s per task so the run stays in
 # flight long enough to scrape the live endpoint. Telemetry federation must
@@ -81,10 +103,12 @@ DISPATCH_PID=$!
 
 mport=""
 for _ in $(seq 1 100); do
-  mport="$(sed -n \
-      's/.*metrics endpoint listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$WORK/obs.txt")"
-  [ -n "$mport" ] && break
+  if [ -e "$WORK/obs.txt" ]; then
+    mport="$(sed -n \
+        's/.*metrics endpoint listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+        "$WORK/obs.txt")"
+    [ -n "$mport" ] && break
+  fi
   sleep 0.05
 done
 if [ -z "$mport" ]; then
@@ -108,11 +132,11 @@ http_get() {
 # Bearer auth: anonymous and wrong-token requests bounce with 401 and a
 # challenge header; the configured token gets through.
 http_get "$mport" /metrics > "$WORK/anon.txt" 2> /dev/null || true
-grep -q '401 Unauthorized' "$WORK/anon.txt"
-grep -q 'WWW-Authenticate: Bearer' "$WORK/anon.txt"
+expect_match "$WORK/anon.txt" '401 Unauthorized'
+expect_match "$WORK/anon.txt" 'WWW-Authenticate: Bearer'
 http_get "$mport" /metrics "wrong-token" > "$WORK/badtok.txt" \
     2> /dev/null || true
-grep -q '401 Unauthorized' "$WORK/badtok.txt"
+expect_match "$WORK/badtok.txt" '401 Unauthorized'
 
 # Poll the live endpoint until worker-labeled series show up (the healthy
 # worker ships telemetry within its first heartbeat/partial, well inside the
@@ -137,9 +161,9 @@ if [ -z "$live_ok" ]; then
 fi
 http_get "$mport" /status "$TOKEN" > "$WORK/live_status.txt" \
     2> /dev/null || true
-grep -q '200 OK' "$WORK/live_status.txt"
-grep -q '"shards_total": 4' "$WORK/live_status.txt"
-grep -q '"worker":' "$WORK/live_status.txt"
+expect_match "$WORK/live_status.txt" '200 OK'
+expect_match "$WORK/live_status.txt" '"shards_total": 4'
+expect_match "$WORK/live_status.txt" '"worker":'
 
 # /healthz serves a structured verdict over the authed endpoint. The level
 # itself is corpus-dependent mid-run (the seeded corrupt files can push a
@@ -148,27 +172,27 @@ grep -q '"worker":' "$WORK/live_status.txt"
 # deterministic fail transition to the worker-kill pass below.
 http_get "$mport" /healthz "$TOKEN" > "$WORK/live_healthz.txt" \
     2> /dev/null || true
-grep -Eq 'HTTP/1.1 (200 OK|503 Service Unavailable)' "$WORK/live_healthz.txt"
-grep -Eq '"status": "(ok|warn|fail)"' "$WORK/live_healthz.txt"
-grep -q '"summary"' "$WORK/live_healthz.txt"
-grep -q '"workers"' "$WORK/live_healthz.txt"
+expect_match "$WORK/live_healthz.txt" 'HTTP/1.1 (200 OK|503 Service Unavailable)' -E
+expect_match "$WORK/live_healthz.txt" '"status": "(ok|warn|fail)"' -E
+expect_match "$WORK/live_healthz.txt" '"summary"'
+expect_match "$WORK/live_healthz.txt" '"workers"'
 http_get "$mport" /profile "$TOKEN" > "$WORK/live_profile.txt" \
     2> /dev/null || true
-grep -q '200 OK' "$WORK/live_profile.txt"
-grep -q '"samples"' "$WORK/live_profile.txt"
-grep -q '"enabled": true' "$WORK/live_profile.txt"
+expect_match "$WORK/live_profile.txt" '200 OK'
+expect_match "$WORK/live_profile.txt" '"samples"'
+expect_match "$WORK/live_profile.txt" '"enabled": true'
 
 wait "$DISPATCH_PID"
 diff "$WORK/single.json" "$WORK/obs.json"
-grep -q 'dispatch progress: shards' "$WORK/obs.err"
-grep -q 'fleet metrics written to' "$WORK/obs.txt"
-grep -q 'fleet trace events written to' "$WORK/obs.txt"
+expect_match "$WORK/obs.err" 'dispatch progress: shards'
+expect_match "$WORK/obs.txt" 'fleet metrics written to'
+expect_match "$WORK/obs.txt" 'fleet trace events written to'
 # --profile wrote the collapsed-stack artifact and announced it.
-grep -q 'profile (' "$WORK/obs.txt"
+expect_match "$WORK/obs.txt" 'profile ('
 [ -e "$WORK/fleet.collapsed" ]
 # Any recorded stack must be flamegraph-collapsed: "frame;frame count".
 if [ -s "$WORK/fleet.collapsed" ]; then
-  grep -Eq '^[^ ]+ [0-9]+$' "$WORK/fleet.collapsed"
+  expect_match "$WORK/fleet.collapsed" '^[^ ]+ [0-9]+$' -E
 fi
 
 # Merged-fleet invariant: every bare counter total must equal the sum of its
@@ -250,13 +274,19 @@ HZ_PID=$!
 
 hzport=""
 for _ in $(seq 1 100); do
-  hzport="$(sed -n \
-      's/.*metrics endpoint listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-      "$WORK/hz.txt")"
-  [ -n "$hzport" ] && break
+  if [ -e "$WORK/hz.txt" ]; then
+    hzport="$(sed -n \
+        's/.*metrics endpoint listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
+        "$WORK/hz.txt")"
+    [ -n "$hzport" ] && break
+  fi
   sleep 0.05
 done
-[ -n "$hzport" ]
+if [ -z "$hzport" ]; then
+  echo "dispatch never announced its metrics endpoint" >&2
+  cat "$WORK/hz.txt" "$WORK/hz.err" >&2
+  exit 1
+fi
 
 hz_failed=""
 for _ in $(seq 1 400); do
@@ -277,8 +307,8 @@ fi
 
 wait "$HZ_PID"
 diff "$WORK/single.json" "$WORK/hz.json"
-grep -q 'health: fail(worker-staleness' "$WORK/hz.err"
-grep -q 'STALE' "$WORK/hz.err"
+expect_match "$WORK/hz.err" 'health: fail(worker-staleness'
+expect_match "$WORK/hz.err" 'STALE'
 
 if [ -n "${MOSAIC_ARTIFACT_DIR:-}" ]; then
   cp "$WORK/healthz_fail.txt" "$MOSAIC_ARTIFACT_DIR/healthz_fail.txt"
@@ -292,8 +322,8 @@ P4="$(start_worker "$WORK/w4.log")"
     --shards 4 --partials "$WORK/parts_kill" --json "$WORK/kill.json" \
     --connect-timeout 1 --reconnect-attempts 1 > "$WORK/kill.txt"
 diff "$WORK/single.json" "$WORK/kill.json"
-grep -q '1 worker(s) lost' "$WORK/kill.txt"
-grep -Eq '[1-9][0-9]* reassigned' "$WORK/kill.txt"
+expect_match "$WORK/kill.txt" '1 worker(s) lost'
+expect_match "$WORK/kill.txt" '[1-9][0-9]* reassigned' -E
 
 # Graceful degradation: the only worker dies after one task, so the manager
 # must finish the remaining shards in-process — still byte-identical.
@@ -302,7 +332,7 @@ P5="$(start_worker "$WORK/w5.log" --net-fault-inject 'seed=7,kill_after=1')"
     --shards 3 --partials "$WORK/parts_deg" --json "$WORK/degraded.json" \
     --connect-timeout 1 --reconnect-attempts 1 > "$WORK/degraded.txt"
 diff "$WORK/single.json" "$WORK/degraded.json"
-grep -Eq '[1-9][0-9]* run degraded' "$WORK/degraded.txt"
+expect_match "$WORK/degraded.txt" '[1-9][0-9]* run degraded' -E
 
 # Manager crash + resume: abort after one journaled partial (exit 3, no
 # merge), then --resume must replay the journal and only run the remainder,
@@ -320,7 +350,7 @@ rc=0
     --shards 3 --partials "$WORK/parts_resume" --json "$WORK/resumed.json" \
     --journal "$WORK/dispatch.jsonl" --resume > "$WORK/resume.txt"
 diff "$WORK/single.json" "$WORK/resumed.json"
-grep -Eq '[1-9][0-9]* resumed from journal' "$WORK/resume.txt"
+expect_match "$WORK/resume.txt" '[1-9][0-9]* resumed from journal' -E
 
 # Flag validation: malformed addresses and non-numeric/absurd durations must
 # fail up front with usage errors, not hang or connect.
@@ -370,10 +400,10 @@ fi
 # Post-mortem health: `mosaic health` re-evaluates the fleet rules against
 # the saved metrics artifact from the observability pass.
 "$MOSAIC" health --fleet "$WORK/fleet.json" > "$WORK/health.txt"
-grep -q 'health: ok' "$WORK/health.txt"
-grep -q 'worker-staleness' "$WORK/health.txt"
+expect_match "$WORK/health.txt" 'health: ok'
+expect_match "$WORK/health.txt" 'worker-staleness'
 "$MOSAIC" health --fleet --print-rules > "$WORK/rules.json"
-grep -q '"rules"' "$WORK/rules.json"
+expect_match "$WORK/rules.json" '"rules"'
 if "$MOSAIC" health "$WORK/does-not-exist.json" > /dev/null 2>&1; then
   echo "health on a missing metrics file should fail" >&2
   exit 1

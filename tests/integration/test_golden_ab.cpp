@@ -128,6 +128,42 @@ TEST(GoldenAb, NonConsumingOverloadMatchesConsumingByteForByte) {
   EXPECT_EQ(by_ref, consumed);
 }
 
+TEST(GoldenAb, InPlaceAnalysisOfUniqueAppsMatchesConsuming) {
+  // analyze_population(span) analyzes the dedup winners where they lie in
+  // the caller's population instead of copying them. On a population where
+  // most valid traces are their own application (so nearly every valid
+  // trace is a winner) and a third are corrupt, it must serialize exactly
+  // like the consuming overload, serially and on a pool, and leave the
+  // population untouched.
+  sim::PopulationConfig config;
+  config.target_traces = 1500;
+  config.seed = 20261020;
+  config.corruption_fraction = 0.32;
+  config.runs_scale = 0.05;
+  const std::vector<trace::Trace> traces =
+      sim::to_traces(sim::generate_population(config));
+  const auto consume_copy = [&] {
+    return json::serialize(report::batch_to_json(
+        core::analyze_population(std::vector<trace::Trace>(traces)),
+        /*include_traces=*/true));
+  };
+  const std::string consumed = consume_copy();
+  ASSERT_FALSE(consumed.empty());
+  for (const std::size_t workers : {0u, 3u}) {
+    parallel::ThreadPool pool(workers == 0 ? 1 : workers);
+    const core::BatchResult in_place = core::analyze_population(
+        std::span<const trace::Trace>(traces), {},
+        workers == 0 ? nullptr : &pool);
+    EXPECT_GT(in_place.preprocess.corrupted, 0u);
+    EXPECT_GT(in_place.results.size(), in_place.preprocess.valid / 2);
+    EXPECT_EQ(json::serialize(
+                  report::batch_to_json(in_place, /*include_traces=*/true)),
+              consumed)
+        << "workers=" << workers;
+  }
+  EXPECT_EQ(consume_copy(), consumed);
+}
+
 TEST(GoldenAb, OutputIdenticalAcrossWorkerCounts) {
   // One Mean-Shift workspace lives per pool worker; the partition of traces
   // across workers therefore changes which buffers each trace is analyzed

@@ -614,23 +614,24 @@ TEST(FederationHub, HeartbeatGraceExpiryMarksSilentWorkersStale) {
   hub.ingest_heartbeat("idle", synthetic_heartbeat("ok"));
   hub.note_worker_state("idle", "connected");
 
-  // Within the grace window nothing is stale yet.
+  // Within the grace window nothing is stale yet. Each snapshot is held in
+  // a local: find_gauge() points into it.
+  const Snapshot fresh = hub.fleet_snapshot();
   const GaugeSample* stale_gauge = find_gauge(
-      hub.fleet_snapshot(),
-      with_worker_label(names::kFleetWorkersStale, "manager"));
+      fresh, with_worker_label(names::kFleetWorkersStale, "manager"));
   ASSERT_NE(stale_gauge, nullptr);
   EXPECT_EQ(stale_gauge->value, 0);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(500));
   // Silent past the grace: the disconnected worker goes stale, the
   // connected-but-idle worker never does.
-  stale_gauge =
-      find_gauge(hub.fleet_snapshot(),
-                 with_worker_label(names::kFleetWorkersStale, "manager"));
+  const Snapshot expired = hub.fleet_snapshot();
+  stale_gauge = find_gauge(
+      expired, with_worker_label(names::kFleetWorkersStale, "manager"));
   ASSERT_NE(stale_gauge, nullptr);
   EXPECT_EQ(stale_gauge->value, 1);
   bool idle_tagged = false;
-  for (const CounterSample& sample : hub.fleet_snapshot().counters) {
+  for (const CounterSample& sample : expired.counters) {
     if (sample.name.find("worker=\"idle\",stale") != std::string::npos) {
       idle_tagged = true;
     }
@@ -716,8 +717,9 @@ TEST(FederationHub, EndpointRequiresBearerTokenWhenConfigured) {
   EXPECT_NE(authed.find("mosaic_"), std::string::npos);
 
   // Rejections are observable: the unauthorized counter counted both.
+  const Snapshot fleet = hub.fleet_snapshot();
   const CounterSample* rejected = find_counter(
-      hub.fleet_snapshot(), std::string(names::kFleetEndpointUnauthorized));
+      fleet, std::string(names::kFleetEndpointUnauthorized));
   ASSERT_NE(rejected, nullptr);
   EXPECT_GE(rejected->value, 2u);
   hub.stop();

@@ -42,7 +42,12 @@ against the committed baseline and fails (exit 1) when either
     entry, and entirely when the two runs dispatched at different SIMD
     levels (e.g. the forced-scalar CI job against an AVX2 baseline): their
     cycles/byte measure different code paths, and forced-scalar speedup is
-    ~1.0 by construction.
+    ~1.0 by construction, or
+  * Mean-Shift's neighbour loop slowed down: kernels.meanshift
+    .ns_per_neighbor_visit (one checkpoint-shaped, single-cell clustering;
+    not a SIMD kernel, so it is compared at any SIMD level) grew more than
+    15% over the baseline. Its spread over 5 runs on one host was ~10%,
+    inside that bound. Skipped unless both files carry the entry.
 
 The throughput check is relative to the baseline machine's own numbers, so
 a slower CI runner only trips it when the *ratio* moves; the overhead check
@@ -63,6 +68,8 @@ import sys
 # slack, both far below the 1 allocation a per-row regression adds.
 TEXT_ALLOC_INCREASE_PCT = 10.0
 TEXT_ALLOC_SLACK = 0.05
+# kernels.meanshift.ns_per_neighbor_visit budget over the baseline.
+MEANSHIFT_REGRESSION_PCT = 15.0
 
 
 def load(path):
@@ -200,6 +207,8 @@ def main():
         )
     elif base_kernels and cur_kernels:
         for name, cur_entry in sorted(cur_kernels.items()):
+            if name == "meanshift":  # not a SIMD kernel; gated below
+                continue
             base_entry = base_kernels.get(name)
             if base_entry is None:
                 print(f"kernel {name}: no baseline entry, skipping")
@@ -230,6 +239,27 @@ def main():
                 )
     else:
         print("kernels: section missing on one side, skipping")
+
+    base_ms = base_kernels.get("meanshift")
+    cur_ms = cur_kernels.get("meanshift")
+    if base_ms is not None and cur_ms is not None:
+        base_ns = float(base_ms.get("ns_per_neighbor_visit", 0.0))
+        cur_ns = float(cur_ms.get("ns_per_neighbor_visit", 0.0))
+        growth_pct = (
+            100.0 * (cur_ns - base_ns) / base_ns if base_ns > 0.0 else 0.0
+        )
+        print(
+            f"kernel meanshift: ns/neighbour visit baseline {base_ns:.3f}, "
+            f"current {cur_ns:.3f} (change {growth_pct:+.1f}%), "
+            f"{float(cur_ms.get('points_per_second', 0.0)):,.0f} points/s"
+        )
+        if growth_pct > MEANSHIFT_REGRESSION_PCT:
+            failures.append(
+                f"kernel meanshift ns per neighbour visit grew "
+                f"{growth_pct:.1f}% (budget {MEANSHIFT_REGRESSION_PCT:.0f}%)"
+            )
+    else:
+        print("kernel meanshift: not measured on both sides, skipping")
 
     if failures:
         for failure in failures:
